@@ -94,6 +94,33 @@ void BM_KMeans(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/// The duplicate-heavy shape of SubTab's row matrices (binned rows repeat):
+/// N points drawn from a pool of N/4 distinct rows, with the row-selection
+/// restarts. KMeans computes distances once per distinct row, so this is
+/// the grouping's best case; BM_KMeans (all distinct) is its worst.
+void BM_KMeansDuplicated(benchmark::State& state) {
+  Rng rng(3);
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dim = 32;
+  std::vector<float> pool((n / 4) * dim);
+  for (float& v : pool) v = static_cast<float>(rng.Normal());
+  std::vector<float> points;
+  points.reserve(n * dim);
+  for (size_t p = 0; p < n; ++p) {
+    const size_t src = rng.Uniform(n / 4);
+    points.insert(points.end(), pool.begin() + src * dim,
+                  pool.begin() + (src + 1) * dim);
+  }
+  KMeansOptions options;
+  options.k = 10;
+  options.n_init = 4;
+  for (auto _ : state) {
+    KMeansResult result = KMeans(points, dim, options);
+    benchmark::DoNotOptimize(result.inertia);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 void BM_CoverageScore(benchmark::State& state) {
   const GeneratedDataset& data = Flights(static_cast<size_t>(state.range(0)));
   BinnedTable binned = BinnedTable::Compute(data.table);
@@ -131,6 +158,10 @@ void RegisterAll(bool quick) {
   auto* kmeans = benchmark::RegisterBenchmark("BM_KMeans", BM_KMeans);
   kmeans->Arg(2000)->Unit(benchmark::kMillisecond);
   if (!quick) kmeans->Arg(10000);
+  auto* kmeans_dup =
+      benchmark::RegisterBenchmark("BM_KMeansDuplicated", BM_KMeansDuplicated);
+  kmeans_dup->Arg(2000)->Unit(benchmark::kMillisecond);
+  if (!quick) kmeans_dup->Arg(10000);
   auto* coverage =
       benchmark::RegisterBenchmark("BM_CoverageScore", BM_CoverageScore);
   coverage->Arg(5000)->Unit(benchmark::kMillisecond);

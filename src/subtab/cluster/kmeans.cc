@@ -1,23 +1,13 @@
 #include "subtab/cluster/kmeans.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "subtab/util/hash.h"
+
 namespace subtab {
-
-namespace {
-std::atomic<bool> g_reference_kernel{false};
-}  // namespace
-
-void SetKMeansReferenceKernel(bool enable) {
-  g_reference_kernel.store(enable, std::memory_order_relaxed);
-}
-
-bool KMeansReferenceKernelEnabled() {
-  return g_reference_kernel.load(std::memory_order_relaxed);
-}
 
 double SquaredDistance(const float* a, const float* b, size_t dim) {
   double acc = 0.0;
@@ -78,21 +68,88 @@ inline void DistancesToCentroids(const float* point, const double* cents_t,
   }
 }
 
-/// k-means++ seeding: first center uniform, then D^2-weighted.
+/// The input points grouped by the exact bytes of their `dim` floats. Binned
+/// rows repeat, so the averaged tuple-vectors SubTab clusters are mostly
+/// byte-identical copies; byte-identical points have identical distances to
+/// any centroid, so every distance is computed once per group. Groups are
+/// numbered in order of first occurrence.
+struct PointGroups {
+  std::vector<uint32_t> of_point;  ///< Group of each point.
+  std::vector<size_t> rep;         ///< First point of each group.
+};
+
+/// FNV-1a over 32-bit words rather than bytes (util/hash.h's HashBytes):
+/// a quarter of the serial multiply chain, and the table compares bytes
+/// anyway.
+uint64_t HashPointBytes(const float* point, size_t dim) {
+  uint64_t h = 0;
+  for (size_t d = 0; d < dim; ++d) {
+    uint32_t bits = 0;
+    std::memcpy(&bits, point + d, sizeof(bits));
+    h = (h ^ bits) * 0x100000001b3ULL;
+  }
+  return HashMix(h);
+}
+
+/// One pass over the points with a flat open-addressing table of group ids
+/// (linear probing, load factor <= 1/2); no per-group allocation.
+PointGroups GroupIdenticalPoints(const std::vector<float>& points, size_t dim,
+                                 size_t num_points) {
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  SUBTAB_CHECK(num_points < kEmpty);
+  size_t capacity = 16;
+  while (capacity < 2 * num_points) capacity *= 2;
+  const size_t mask = capacity - 1;
+  std::vector<uint32_t> slots(capacity, kEmpty);
+
+  PointGroups groups;
+  groups.of_point.resize(num_points);
+  const size_t bytes = dim * sizeof(float);
+  for (size_t p = 0; p < num_points; ++p) {
+    const float* point = points.data() + p * dim;
+    size_t slot = HashPointBytes(point, dim) & mask;
+    while (true) {
+      const uint32_t g = slots[slot];
+      if (g == kEmpty) {
+        slots[slot] = static_cast<uint32_t>(groups.rep.size());
+        groups.of_point[p] = slots[slot];
+        groups.rep.push_back(p);
+        break;
+      }
+      if (std::memcmp(point, points.data() + groups.rep[g] * dim, bytes) == 0) {
+        groups.of_point[p] = g;
+        break;
+      }
+      slot = (slot + 1) & mask;
+    }
+  }
+  return groups;
+}
+
+/// k-means++ seeding: first center uniform, then D^2-weighted. The distance
+/// to each new center is computed once per group; the per-point minimum,
+/// the total and the sampling walk run over every point in order, exactly
+/// as without grouping.
 std::vector<float> PlusPlusInit(const std::vector<float>& points, size_t dim,
-                                size_t num_points, size_t k, Rng* rng) {
+                                const PointGroups& groups, size_t k, Rng* rng) {
+  const size_t num_points = groups.of_point.size();
+  const size_t num_groups = groups.rep.size();
   std::vector<float> centroids(k * dim);
   std::vector<double> dist2(num_points, std::numeric_limits<double>::max());
+  std::vector<double> group_dist(num_groups);
 
   const size_t first = rng->Uniform(num_points);
   std::copy_n(points.data() + first * dim, dim, centroids.begin());
 
   for (size_t c = 1; c < k; ++c) {
     const float* last = centroids.data() + (c - 1) * dim;
+    for (size_t g = 0; g < num_groups; ++g) {
+      group_dist[g] =
+          SquaredDistance(points.data() + groups.rep[g] * dim, last, dim);
+    }
     double total = 0.0;
     for (size_t p = 0; p < num_points; ++p) {
-      const double d = SquaredDistance(points.data() + p * dim, last, dim);
-      dist2[p] = std::min(dist2[p], d);
+      dist2[p] = std::min(dist2[p], group_dist[groups.of_point[p]]);
       total += dist2[p];
     }
     size_t chosen;
@@ -115,71 +172,40 @@ std::vector<float> PlusPlusInit(const std::vector<float>& points, size_t dim,
   return centroids;
 }
 
-}  // namespace
-
-namespace {
-
 KMeansResult KMeansSingleInit(const std::vector<float>& points, size_t dim,
-                              const KMeansOptions& options, uint64_t seed);
-
-}  // namespace
-
-KMeansResult KMeans(const std::vector<float>& points, size_t dim,
-                    const KMeansOptions& options) {
-  SUBTAB_CHECK(options.n_init >= 1);
-  KMeansResult best;
-  for (size_t init = 0; init < options.n_init; ++init) {
-    KMeansResult run = KMeansSingleInit(points, dim, options,
-                                        options.seed + init * 0x9e3779b9ULL);
-    if (init == 0 || run.inertia < best.inertia) best = std::move(run);
-  }
-  return best;
-}
-
-namespace {
-
-KMeansResult KMeansSingleInit(const std::vector<float>& points, size_t dim,
+                              const PointGroups& groups,
                               const KMeansOptions& options, uint64_t seed) {
-  SUBTAB_CHECK(dim > 0);
-  SUBTAB_CHECK(points.size() % dim == 0);
-  const size_t num_points = points.size() / dim;
+  const size_t num_points = groups.of_point.size();
+  const size_t num_groups = groups.rep.size();
   const size_t k = options.k;
-  SUBTAB_CHECK(k >= 1 && k <= num_points);
 
   Rng rng(seed);
   KMeansResult result;
-  result.centroids = PlusPlusInit(points, dim, num_points, k, &rng);
+  result.centroids = PlusPlusInit(points, dim, groups, k, &rng);
   result.assignment.assign(num_points, 0);
 
   std::vector<double> sums(k * dim);
   std::vector<size_t> counts(k);
   std::vector<double> acc(k);            // Per-centroid distance sums.
   std::vector<double> cents_t(k * dim);  // Widened + transposed centroids.
+  std::vector<uint32_t> group_cluster(num_groups);
+  std::vector<double> group_best(num_groups);
   double prev_inertia = std::numeric_limits<double>::max();
 
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
-    // Assignment step: per point, all k distances via the register-blocked
-    // kernel (bit-identical values, see DistanceBlock) — or the pre-refactor
-    // one-chain-per-centroid loop when the reference kernel is selected —
-    // then the same ascending strict-`<` scan picks the winner.
-    const bool reference = KMeansReferenceKernelEnabled();
-    for (size_t c = 0; c < k && !reference; ++c) {
+    // Assignment step: per group, all k distances via the register-blocked
+    // kernel (bit-identical values, see DistanceBlock), then an ascending
+    // strict-`<` scan picks the winner. Every point copies its group's
+    // winner, and the inertia sums per point in point order.
+    for (size_t c = 0; c < k; ++c) {
       for (size_t d = 0; d < dim; ++d) {
         cents_t[d * k + c] = static_cast<double>(result.centroids[c * dim + d]);
       }
     }
-    double inertia = 0.0;
-    for (size_t p = 0; p < num_points; ++p) {
-      const float* point = points.data() + p * dim;
-      if (reference) {
-        for (size_t c = 0; c < k; ++c) {
-          acc[c] =
-              SquaredDistance(point, result.centroids.data() + c * dim, dim);
-        }
-      } else {
-        DistancesToCentroids(point, cents_t.data(), k, dim, acc.data());
-      }
+    for (size_t g = 0; g < num_groups; ++g) {
+      DistancesToCentroids(points.data() + groups.rep[g] * dim, cents_t.data(),
+                           k, dim, acc.data());
       double best = acc[0];
       uint32_t best_c = 0;
       for (size_t c = 1; c < k; ++c) {
@@ -188,8 +214,14 @@ KMeansResult KMeansSingleInit(const std::vector<float>& points, size_t dim,
           best_c = static_cast<uint32_t>(c);
         }
       }
-      result.assignment[p] = best_c;
-      inertia += best;
+      group_cluster[g] = best_c;
+      group_best[g] = best;
+    }
+    double inertia = 0.0;
+    for (size_t p = 0; p < num_points; ++p) {
+      const uint32_t g = groups.of_point[p];
+      result.assignment[p] = group_cluster[g];
+      inertia += group_best[g];
     }
     result.inertia = inertia;
 
@@ -237,6 +269,25 @@ KMeansResult KMeansSingleInit(const std::vector<float>& points, size_t dim,
 }
 
 }  // namespace
+
+KMeansResult KMeans(const std::vector<float>& points, size_t dim,
+                    const KMeansOptions& options) {
+  SUBTAB_CHECK(options.n_init >= 1);
+  SUBTAB_CHECK(dim > 0);
+  SUBTAB_CHECK(points.size() % dim == 0);
+  const size_t num_points = points.size() / dim;
+  SUBTAB_CHECK(options.k >= 1 && options.k <= num_points);
+
+  // Grouped once, shared by every restart.
+  const PointGroups groups = GroupIdenticalPoints(points, dim, num_points);
+  KMeansResult best;
+  for (size_t init = 0; init < options.n_init; ++init) {
+    KMeansResult run = KMeansSingleInit(points, dim, groups, options,
+                                        options.seed + init * 0x9e3779b9ULL);
+    if (init == 0 || run.inertia < best.inertia) best = std::move(run);
+  }
+  return best;
+}
 
 std::vector<size_t> SelectMedoids(const std::vector<float>& points, size_t dim,
                                   const KMeansResult& result) {

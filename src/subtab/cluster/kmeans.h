@@ -34,6 +34,13 @@ struct KMeansResult {
 
 /// Clusters `num_points` points of dimension `dim` stored row-major in
 /// `points`. Requires 1 <= k <= num_points.
+///
+/// Points with byte-identical coordinates are grouped once per call (shared
+/// by all `n_init` restarts), and distances are computed once per group in
+/// both k-means++ seeding and the assignment step. Every per-point loop and
+/// floating-point sum keeps its order, so the result — assignment,
+/// centroids, inertia, iterations — is bit-identical to plain Lloyd over
+/// every point (cluster_test pins this against a test-local reference).
 KMeansResult KMeans(const std::vector<float>& points, size_t dim,
                     const KMeansOptions& options);
 
@@ -48,17 +55,6 @@ std::vector<size_t> ClusterRepresentatives(const std::vector<float>& points,
 
 /// Squared Euclidean distance between two dim-vectors.
 double SquaredDistance(const float* a, const float* b, size_t dim);
-
-/// Switches subsequent KMeans calls to the pre-refactor assignment loop (one
-/// serial double-accumulation chain per centroid) instead of the
-/// register-blocked kernel. The two are bit-identical by construction — each
-/// centroid's sum adds the same terms in the same order; cluster_test pins
-/// the equivalence — and the slow loop is kept so the serving benchmark can
-/// measure the kernel optimization's before/after and differential tests
-/// can cross-check. Process-wide; flip only between runs, not concurrently
-/// with them.
-void SetKMeansReferenceKernel(bool enable);
-bool KMeansReferenceKernelEnabled();
 
 }  // namespace subtab
 

@@ -524,11 +524,7 @@ std::shared_future<SelectResponse> ServingEngine::SubmitSelect(
     pending->queue_span = trace.StartSpan("queue.scan");
   }
   pending->hop.Reset();
-  if (options_.staged_pipeline) {
-    pool_.Submit([this, pending] { ExecuteScan(pending); });
-  } else {
-    pool_.Submit([this, pending] { ExecuteBlocking(pending); });
-  }
+  pool_.Submit([this, pending] { ExecuteScan(pending); });
   return future;
 }
 
@@ -746,28 +742,6 @@ void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending)
   pending->trace.FinishSpan(std::move(span));
   CachedSelection outcome;
   outcome.view = std::make_shared<const SubTabView>(std::move(view));
-  FinishComputation(pending, outcome);
-}
-
-void ServingEngine::ExecuteBlocking(
-    const std::shared_ptr<PendingSelect>& pending) {
-  h_queue_scan_->Record(pending->hop.ElapsedSeconds());
-  LogTraceScope log_scope(pending->trace.trace_id());
-  pending->trace.FinishSpan(std::move(pending->queue_span));
-  TraceSpan span = pending->trace.StartSpan("execute");
-  const SelectRequest& request = pending->request;
-  Result<SubTabView> view = pending->model->SelectForQuery(
-      request.query, request.k, request.l, request.seed);
-  if (span.enabled()) {
-    span.AddAttr("status", view.ok() ? "ok" : "error");
-  }
-  pending->trace.FinishSpan(std::move(span));
-  CachedSelection outcome;
-  if (view.ok()) {
-    outcome.view = std::make_shared<const SubTabView>(std::move(*view));
-  } else {
-    outcome.status = view.status();
-  }
   FinishComputation(pending, outcome);
 }
 

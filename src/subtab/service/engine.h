@@ -116,11 +116,6 @@ struct EngineOptions {
   size_t cache_shards = 8;
   /// Forwarded to ModelRegistryOptions::persist_dir.
   std::string persist_dir;
-  /// Staged pipeline (scan and select as separate queue hops) vs the
-  /// pre-refactor monolithic executor (one blocking SelectForQuery task per
-  /// request). The monolithic path is kept for differential testing and the
-  /// before/after throughput benchmark; both return bit-identical views.
-  bool staged_pipeline = true;
   /// Chunk-parallel fan-out of one request's filter scan
   /// (QueryExecOptions::num_threads): 1 = serial, 0 = HardwareThreads().
   /// Parallel scans cut single-request latency when workers are idle; under
@@ -525,8 +520,6 @@ class ServingEngine {
   void ExecuteScan(const std::shared_ptr<PendingSelect>& pending);
   /// Pipeline stage 3: clustering over the resolved scope.
   void ExecuteSelect(const std::shared_ptr<PendingSelect>& pending);
-  /// The pre-refactor monolithic executor: scan + select in one task.
-  void ExecuteBlocking(const std::shared_ptr<PendingSelect>& pending);
   /// Shared tail: memoize, resolve every waiter, release admission.
   void FinishComputation(const std::shared_ptr<PendingSelect>& pending,
                          const CachedSelection& outcome);
