@@ -16,6 +16,7 @@
 #include "subtab/data/datasets.h"
 #include "subtab/eda/session.h"
 #include "subtab/rules/miner.h"
+#include "subtab/util/metrics.h"
 #include "subtab/util/parallel.h"
 
 /// \file bench_common.h
@@ -240,7 +241,7 @@ class JsonLine {
   JsonLine& Field(const std::string& key, const std::string& value) {
     return Raw(key, "\"" + value + "\"");
   }
-  /// Embeds pre-rendered JSON verbatim (e.g. EngineStats::ToJson()).
+  /// Embeds pre-rendered JSON verbatim (e.g. ServingEngine::MetricsJson()).
   JsonLine& RawField(const std::string& key, const std::string& json) {
     return Raw(key, json);
   }
@@ -257,6 +258,15 @@ class JsonLine {
   }
   std::string body_;
 };
+
+/// Percentile `p` of a registry histogram in milliseconds (0 when absent),
+/// e.g. HistMs(engine.metrics().Snapshot(), "pipeline.stage.scan", 0.95).
+inline double HistMs(const MetricsSnapshot& snapshot, const std::string& name,
+                     double p) {
+  const auto it = snapshot.histograms.find(name);
+  return it == snapshot.histograms.end() ? 0.0
+                                         : it->second.Percentile(p) * 1e3;
+}
 
 /// One fitted pipeline: dataset + SubTab model + mined rules + evaluator.
 /// Heap-allocated so every member's address is stable (the evaluator keeps

@@ -191,12 +191,6 @@ struct SweepResult {
   double shed_fraction = 0.0;
 };
 
-double HistP95Ms(const MetricsSnapshot& delta, const std::string& name) {
-  const auto it = delta.histograms.find(name);
-  return it == delta.histograms.end() ? 0.0
-                                      : it->second.Percentile(0.95) * 1e3;
-}
-
 /// One open-loop point: fire `total` requests at `rate`, report admitted
 /// latency (engine-side pipeline.latency delta — client-side timing would
 /// re-measure the closed loop we just removed) and the shed fraction.
@@ -245,12 +239,9 @@ SweepResult RunSweepPoint(service::ServingEngine& engine,
       static_cast<double>(shed) /
       static_cast<double>(std::max<uint64_t>(1, submitted));
   result.rps = static_cast<double>(submitted - shed) / std::max(1e-9, elapsed);
-  const auto latency = delta.histograms.find("pipeline.latency");
-  if (latency != delta.histograms.end()) {
-    result.p50_ms = latency->second.Percentile(0.50) * 1e3;
-    result.p95_ms = latency->second.Percentile(0.95) * 1e3;
-    result.p99_ms = latency->second.Percentile(0.99) * 1e3;
-  }
+  result.p50_ms = HistMs(delta, "pipeline.latency", 0.50);
+  result.p95_ms = HistMs(delta, "pipeline.latency", 0.95);
+  result.p99_ms = HistMs(delta, "pipeline.latency", 0.99);
 
   Measured(StrFormat(
       "%7zu rows %2zu thr %2zu tenants %-7s %7.1f rps offered -> %7.1f "
@@ -271,11 +262,12 @@ SweepResult RunSweepPoint(service::ServingEngine& engine,
       .Field("p95_ms", result.p95_ms)
       .Field("p99_ms", result.p99_ms)
       .Field("shed_fraction", result.shed_fraction)
-      .Field("queue_scan_p95_ms", HistP95Ms(delta, "pipeline.stage.queue_scan"))
-      .Field("scan_p95_ms", HistP95Ms(delta, "pipeline.stage.scan"))
+      .Field("queue_scan_p95_ms",
+             HistMs(delta, "pipeline.stage.queue_scan", 0.95))
+      .Field("scan_p95_ms", HistMs(delta, "pipeline.stage.scan", 0.95))
       .Field("queue_select_p95_ms",
-             HistP95Ms(delta, "pipeline.stage.queue_select"))
-      .Field("select_p95_ms", HistP95Ms(delta, "pipeline.stage.select"))
+             HistMs(delta, "pipeline.stage.queue_select", 0.95))
+      .Field("select_p95_ms", HistMs(delta, "pipeline.stage.select", 0.95))
       .Field("max_lag_ms", report.max_lag_seconds * 1e3)
       .Emit(file);
   return result;

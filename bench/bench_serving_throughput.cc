@@ -157,7 +157,7 @@ void RunOne(size_t threads, const GeneratedDataset& data,
   Report("warm", threads, warm, before, after, file);
   JsonLine("engine_stats")
       .Field("threads", static_cast<uint64_t>(threads))
-      .RawField("stats", after.ToJson())
+      .RawField("stats", engine.MetricsJson())
       .Emit(file);
 }
 
@@ -192,21 +192,23 @@ void RunOverload(const GeneratedDataset& data,
   const double seconds = wall.ElapsedSeconds();
 
   const service::EngineStats stats = engine.Stats();
+  const MetricsSnapshot metrics = engine.metrics().Snapshot();
   const double shed_rate = static_cast<double>(stats.pipeline.requests_shed) /
                            static_cast<double>(stats.requests_submitted);
+  const double p95_ms = HistMs(metrics, "pipeline.latency", 0.95);
   Measured(StrFormat("overload: %llu submitted open-loop in %.2fs, "
                      "%llu shed (%.1f%%), p95 %.3fms, queue bounded",
                      (unsigned long long)stats.requests_submitted, seconds,
                      (unsigned long long)stats.pipeline.requests_shed,
-                     shed_rate * 100.0, stats.pipeline.latency_p95_ms));
+                     shed_rate * 100.0, p95_ms));
   JsonLine("serving_overload")
       .Field("submitted", stats.requests_submitted)
       .Field("shed", stats.pipeline.requests_shed)
       .Field("shed_rate", shed_rate)
       .Field("seconds", seconds)
-      .Field("p50_ms", stats.pipeline.latency_p50_ms)
-      .Field("p95_ms", stats.pipeline.latency_p95_ms)
-      .Field("p99_ms", stats.pipeline.latency_p99_ms)
+      .Field("p50_ms", HistMs(metrics, "pipeline.latency", 0.50))
+      .Field("p95_ms", p95_ms)
+      .Field("p99_ms", HistMs(metrics, "pipeline.latency", 0.99))
       .Emit(file);
   // Bounded queues shed under overload instead of queueing unboundedly (the
   // saturation suite proves no-deadlock; this pins the bench workload too).
@@ -271,8 +273,7 @@ std::vector<std::vector<SpQuery>> DrillDownSessions(const GeneratedDataset& data
 /// unified registry histograms) and writes the two artifacts CI uploads:
 /// TRACE_serving_exemplars.jsonl (slow-query exemplars; the full ring when
 /// nothing crossed the threshold yet) and METRICS_serving.json.
-void ReportTraces(const service::ServingEngine& engine,
-                  const service::EngineStats& stats, BenchJsonFile* file) {
+void ReportTraces(const service::ServingEngine& engine, BenchJsonFile* file) {
   const std::shared_ptr<TraceSink>& sink = engine.trace_sink();
   SUBTAB_CHECK(sink != nullptr);
   std::vector<std::shared_ptr<const CompletedTrace>> exemplars =
@@ -307,7 +308,10 @@ void ReportTraces(const service::ServingEngine& engine,
   }
 
   const TraceSinkStats sink_stats = sink->Stats();
-  const service::PipelineStats& pipeline = stats.pipeline;
+  const MetricsSnapshot snapshot = engine.metrics().Snapshot();
+  const auto stage_ms = [&snapshot](const char* stage, double p) {
+    return HistMs(snapshot, std::string("pipeline.stage.") + stage, p);
+  };
   Measured(StrFormat(
       "traces: %zu staged retained (%zu containment-hit), best stage "
       "coverage %.1f%% of root wall, %llu exemplars pinned (threshold %.3fms)",
@@ -319,14 +323,14 @@ void ReportTraces(const service::ServingEngine& engine,
       .Field("containment_hit_traces",
              static_cast<uint64_t>(containment_hit_traces))
       .Field("span_coverage", best_coverage)
-      .Field("queue_scan_p50_ms", pipeline.stage_queue_scan.p50_ms)
-      .Field("queue_scan_p95_ms", pipeline.stage_queue_scan.p95_ms)
-      .Field("scan_p50_ms", pipeline.stage_scan.p50_ms)
-      .Field("scan_p95_ms", pipeline.stage_scan.p95_ms)
-      .Field("queue_select_p50_ms", pipeline.stage_queue_select.p50_ms)
-      .Field("queue_select_p95_ms", pipeline.stage_queue_select.p95_ms)
-      .Field("select_p50_ms", pipeline.stage_select.p50_ms)
-      .Field("select_p95_ms", pipeline.stage_select.p95_ms)
+      .Field("queue_scan_p50_ms", stage_ms("queue_scan", 0.50))
+      .Field("queue_scan_p95_ms", stage_ms("queue_scan", 0.95))
+      .Field("scan_p50_ms", stage_ms("scan", 0.50))
+      .Field("scan_p95_ms", stage_ms("scan", 0.95))
+      .Field("queue_select_p50_ms", stage_ms("queue_select", 0.50))
+      .Field("queue_select_p95_ms", stage_ms("queue_select", 0.95))
+      .Field("select_p50_ms", stage_ms("select", 0.50))
+      .Field("select_p95_ms", stage_ms("select", 0.95))
       .Field("traces_committed", sink_stats.committed)
       .Field("exemplars_pinned", sink_stats.exemplars_pinned)
       .Field("exemplar_threshold_ms",
@@ -432,7 +436,7 @@ void RunDrillDown(const GeneratedDataset& data,
       SUBTAB_CHECK(avg_restricted < table_rows);
       // The drill-down engine is also where the retained traces must carry
       // their weight (containment attributes on real refinement chains).
-      ReportTraces(engine, after, file);
+      ReportTraces(engine, file);
     }
   }
 }

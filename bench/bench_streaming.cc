@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
         .Emit(&file);
   }
   const service::EngineStats stats = engine.Stats();
-  JsonLine("engine_stats").RawField("stats", stats.ToJson()).Emit(&file);
+  JsonLine("engine_stats").RawField("stats", engine.MetricsJson()).Emit(&file);
   SUBTAB_CHECK(stats.streaming.appends == num_batches);
 
   // ---- Resident memory: the zero-copy snapshot path must have removed the

@@ -9,8 +9,9 @@
 //      drift counters and forces a full refit, re-anchoring the bin spec;
 //   3. version isolation: a model handle obtained before an append keeps
 //      selecting over its own version's rows;
-//   4. superseded versions' cached selections are invalidated, and
-//      EngineStats reports the refresh activity (one "json |" line).
+//   4. superseded versions' cached selections are invalidated, and the
+//      engine's metrics registry reports the refresh activity (one
+//      "json |" line of MetricsJson).
 
 #include <cmath>
 #include <cstdio>
@@ -156,7 +157,7 @@ int main() {
   SUBTAB_CHECK(stats.streaming.full_refits == 1);
   SUBTAB_CHECK(stats.streaming.appends == kBatches + 1);
   std::printf("\n=== engine stats ===\n");
-  std::printf("json | %s\n", stats.ToJson().c_str());
+  std::printf("json | %s\n", engine.MetricsJson().c_str());
 
   std::printf("\nOK: %llu appends (%llu fold-in, %llu incremental, %llu "
               "refit), drift detected, versions isolated\n",

@@ -27,7 +27,8 @@ It also validates the sibling artifacts when asked:
 
   * --metrics METRICS_serving.json — the registry dump must carry the
     counters/gauges/histograms sections with the core pipeline instruments
-    (the same names /metrics exposes in Prometheus form),
+    (the same names /metrics exposes in Prometheus form); the ops-smoke CI
+    job runs it on /statusz's `engine` object, which is the same dump,
   * --trajectory bench/history/BENCH_trajectory.jsonl — every line is a
     JSON object with sha/timestamp, and timestamps are monotonically
     non-decreasing (an out-of-order append corrupts the regression
@@ -37,9 +38,11 @@ It also validates the sibling artifacts when asked:
     generation, at least three `scale_sweep` points per curve (rps,
     latency percentiles, shed fraction, per-stage attribution), and a
     `scale_knee` record per (rows, threads) group with the open-loop knee
-    demonstrated. When --scale is given without an explicit serving-bench
-    positional, only the scale file (plus any other requested artifacts)
-    is checked — the scale-smoke CI job runs bench_scale alone.
+    demonstrated.
+
+When artifact flags are given without the serving-bench positional, only
+those artifacts are checked: the scale-smoke CI job runs bench_scale alone,
+and the ops-smoke job checks a /statusz scrape alone.
 
 Usage: scripts/check_bench_schema.py [BENCH_serving.json]
                                      [--metrics PATH] [--trajectory PATH]
@@ -100,26 +103,55 @@ REQUIRED_KEYS = {
 }
 
 
-# The registry instruments the serving engine registers at construction;
-# METRICS_serving.json (and the Prometheus /metrics endpoint rendering the
-# same registry) must never silently lose them.
+def _names(prefix: str, *metrics: str) -> list[str]:
+    return [f"{prefix}.{metric}" for metric in metrics]
+
+
+# Every instrument the serving engine's registry carries after Stats() (the
+# catalog in docs/OBSERVABILITY.md). METRICS_serving.json, /statusz's
+# `engine` object and the Prometheus /metrics endpoint all render this one
+# registry, so none may silently lose a name.
 REQUIRED_METRICS = {
-    "counters": [
-        "engine.requests.submitted",
-        "engine.requests.completed",
-        "pipeline.shed.global_queue",
-        "pipeline.shed.tenant",
-        "scan.chunks_pruned",
-        "scan.code_eval_predicates",
-    ],
-    "gauges": [
-        "engine.queue_depth",
-        "pipeline.worker_utilization",
-        "pipeline.effective_max_queue_depth",
-    ],
-    "histograms": [
-        "pipeline.latency",
-    ],
+    "counters": (
+        _names("engine.requests", "submitted", "completed", "failed",
+               "coalesced")
+        + _names("pipeline", "shed.global_queue", "shed.tenant",
+                 "scan_busy_ns", "select_busy_ns")
+        + _names("scan", "rows_visited", "rows_matched", "chunks_scanned",
+                 "chunks_pruned", "code_eval_predicates")
+        + _names("containment", "hits", "misses", "restricted_scan_rows",
+                 "full_scan_rows", "scope_invalidations")
+        + _names("selection", "sampled", "exact", "sample_rows",
+                 "scope_rows_sampled", "sample_quality_checks",
+                 "sample_quality_fallbacks")
+        + ["streaming.cache_invalidations"]
+    ),
+    "gauges": (
+        _names("engine", "threads", "queue_depth", "tables")
+        + _names("pipeline", "workers_active", "worker_utilization",
+                 "tenants_tracked", "effective_max_queue_depth",
+                 "max_queue_depth_configured", "max_pending_per_tenant")
+        + ["containment.scope_entries"]
+        + _names("selection", "last_quality_ratio", "min_quality_ratio")
+        + _names("selection_cache", "hits", "misses", "insertions",
+                 "evictions", "entries")
+        + _names("registry", "hits", "misses", "evictions", "entries",
+                 "loads", "fits", "coalesced")
+        + _names("memory", "tables", "chunks", "logical_bytes",
+                 "resident_bytes", "shared_saved_bytes")
+        + _names("streaming", "streams", "appends", "rows_appended",
+                 "fold_ins", "incremental_refreshes", "full_refits",
+                 "fold_in_seconds", "incremental_seconds", "refit_seconds",
+                 "deferred_upgrades", "upgrades_completed",
+                 "upgrades_discarded")
+        + _names("trace", "committed", "ring_evicted", "exemplars_pinned",
+                 "exemplars_evicted", "threshold_ms")
+    ),
+    "histograms": (
+        ["pipeline.latency"]
+        + _names("pipeline.stage", "queue_scan", "scan", "queue_select",
+                 "select")
+    ),
 }
 
 
@@ -325,10 +357,9 @@ def main(argv: list[str]) -> int:
         extra_failures += check_trajectory(args.trajectory)
     if args.scale is not None:
         extra_failures += check_scale(args.scale)
-        if args.bench is None:
-            # Scale-only invocation (the scale-smoke job has no serving
-            # artifact to validate).
-            return 1 if extra_failures else 0
+    if args.bench is None and (args.metrics or args.trajectory or args.scale):
+        # Artifact-only invocation: there is no serving bench to validate.
+        return 1 if extra_failures else 0
 
     path = args.bench if args.bench is not None else "BENCH_serving.json"
     if not os.path.exists(path):

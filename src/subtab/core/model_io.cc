@@ -1,5 +1,6 @@
 #include "subtab/core/model_io.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 
@@ -68,10 +69,9 @@ void WriteColumnBinning(std::ostream& out, const ColumnBinning& cb) {
   for (const std::string& label : cb.labels) WriteString(out, label);
 }
 
-bool ReadColumnBinning(std::istream& in, ColumnBinning* cb) {
-  uint8_t type = 0;
-  if (!ReadPod(in, &type)) return false;
-  cb->type = type == 0 ? ColumnType::kNumeric : ColumnType::kCategorical;
+bool ReadColumnBinning(std::istream& in, ColumnBinning* cb, uint8_t* type) {
+  if (!ReadPod(in, type)) return false;
+  cb->type = *type == 0 ? ColumnType::kNumeric : ColumnType::kCategorical;
   if (!ReadVector(in, &cb->edges)) return false;
   if (!ReadVector(in, &cb->code_to_bin)) return false;
   if (!ReadPod(in, &cb->num_value_bins)) return false;
@@ -83,6 +83,48 @@ bool ReadColumnBinning(std::istream& in, ColumnBinning* cb) {
     if (!ReadString(in, &label)) return false;
   }
   return true;
+}
+
+/// Checks a loaded column binning against the column it will tokenize, so a
+/// corrupt artifact is refused instead of aborting in BinOfCode or minting
+/// tokens whose bin spills into the column bits (MakeToken). O(dictionary).
+Status ValidateColumnBinning(const ColumnBinning& cb, uint8_t type,
+                             const Column& column) {
+  const std::string& name = column.name();
+  if (type > 1 || (type == 0) != column.is_numeric()) {
+    return Status::InvalidArgument(
+        StrFormat("corrupt model: binning type %u disagrees with column '%s'",
+                  type, name.c_str()));
+  }
+  if (cb.num_value_bins >= kTokenMaxBins ||
+      cb.labels.size() != cb.num_bins()) {
+    return Status::InvalidArgument("corrupt model: bin count/labels of '" +
+                                   name + "'");
+  }
+  if (column.is_numeric()) {
+    if (cb.edges.size() + 1 != cb.num_value_bins) {
+      return Status::InvalidArgument("corrupt model: edge count of '" + name +
+                                     "'");
+    }
+    for (size_t i = 0; i < cb.edges.size(); ++i) {
+      if (std::isnan(cb.edges[i]) || (i > 0 && cb.edges[i] < cb.edges[i - 1])) {
+        return Status::InvalidArgument(
+            "corrupt model: edges of '" + name + "' are NaN or unsorted");
+      }
+    }
+    return Status::Ok();
+  }
+  if (cb.code_to_bin.size() < column.dictionary().size()) {
+    return Status::InvalidArgument("corrupt model: code_to_bin of '" + name +
+                                   "' does not cover its dictionary");
+  }
+  for (const uint32_t bin : cb.code_to_bin) {
+    if (bin >= cb.num_value_bins) {
+      return Status::InvalidArgument("corrupt model: code_to_bin of '" + name +
+                                     "' names a bin out of range");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -180,10 +222,13 @@ Result<PreprocessedTable> LoadModel(const Table& table, const std::string& path)
     return Status::InvalidArgument("corrupt model: binning column count mismatch");
   }
   std::vector<ColumnBinning> column_binnings(binning_columns);
-  for (auto& cb : column_binnings) {
-    if (!ReadColumnBinning(in, &cb)) {
+  for (size_t c = 0; c < columns; ++c) {
+    uint8_t type = 0;
+    if (!ReadColumnBinning(in, &column_binnings[c], &type)) {
       return Status::InvalidArgument("truncated model file (binning)");
     }
+    SUBTAB_RETURN_IF_ERROR(
+        ValidateColumnBinning(column_binnings[c], type, table.column(c)));
   }
   TableBinning binning = TableBinning::FromColumns(std::move(column_binnings), options);
   BinnedTable binned = BinnedTable::FromTable(table, binning);
@@ -196,6 +241,16 @@ Result<PreprocessedTable> LoadModel(const Table& table, const std::string& path)
   }
   if (vocab != binned.total_bins()) {
     return Status::InvalidArgument("corrupt model: vocabulary/binning mismatch");
+  }
+  // The vectors must fit in what is left of the file; checked by division,
+  // so a corrupt dim can neither overflow vocab * dim nor size a huge
+  // allocation.
+  const std::streampos vectors_at = in.tellg();
+  in.seekg(0, std::ios::end);
+  const uint64_t bytes_left = static_cast<uint64_t>(in.tellg() - vectors_at);
+  in.seekg(vectors_at);
+  if (vocab > 0 && dim > bytes_left / sizeof(float) / vocab) {
+    return Status::InvalidArgument("corrupt model: embedding larger than file");
   }
   std::vector<float> vectors(vocab * dim);
   in.read(reinterpret_cast<char*>(vectors.data()),

@@ -239,7 +239,7 @@ std::string AdminServer::MetricsBody() const {
 
 std::string AdminServer::StatuszBody() const {
   std::string out = "{\"engine\":";
-  out += engine_->Stats().ToJson();
+  out += engine_->MetricsJson();
   if (monitor_ != nullptr) {
     out += ",\"slo\":";
     out += monitor_->status().ToJson();

@@ -20,8 +20,9 @@
 ///                     MetricsRegistry (ops/prometheus.h): engine counters,
 ///                     gauges, stage histograms, and the monitor's slo.*
 ///                     gauges, every instrument exactly once.
-///   GET /statusz      Full EngineStats::ToJson plus SLO status, effective
-///                     admission bounds, build info, and uptime.
+///   GET /statusz      The engine's MetricsJson (every counter, gauge and
+///                     histogram, effective admission bound included) plus
+///                     SLO status, build info, and uptime.
 ///   GET /traces?n=K   The K most recent retained traces plus pinned
 ///                     slow-query exemplars, as JSONL (TraceSink::Peek —
 ///                     non-destructive; scraping never races an exporter).

@@ -33,7 +33,7 @@
 ///
 /// Every tick exports the burn rates and health as slo.* gauges into the
 /// engine's own registry (one /metrics scrape shows engine and monitor
-/// state together — docs/STATS.md); every transition commits an
+/// state together — docs/OBSERVABILITY.md); every transition commits an
 /// "slo.transition" trace to the engine's sink and emits a trace-tagged
 /// warning log line.
 ///

@@ -17,17 +17,6 @@ std::shared_future<SelectResponse> ReadyFuture(SelectResponse response) {
   return promise.get_future().share();
 }
 
-/// Stage-latency snapshot view over a registry histogram.
-StageLatencyStats StageView(const LatencyHistogram* histogram) {
-  const LatencyHistogram::Snapshot snap = histogram->TakeSnapshot();
-  StageLatencyStats stage;
-  stage.count = snap.count;
-  stage.mean_ms = snap.MeanSeconds() * 1e3;
-  stage.p50_ms = snap.Percentile(0.50) * 1e3;
-  stage.p95_ms = snap.Percentile(0.95) * 1e3;
-  return stage;
-}
-
 }  // namespace
 
 ServingEngine::ServingEngine(EngineOptions options)
@@ -81,14 +70,6 @@ ServingEngine::ServingEngine(EngineOptions options)
   h_scan_ = metrics_.histogram("pipeline.stage.scan");
   h_queue_select_ = metrics_.histogram("pipeline.stage.queue_select");
   h_select_ = metrics_.histogram("pipeline.stage.select");
-  g_queue_depth_ = metrics_.gauge("engine.queue_depth");
-  g_workers_active_ = metrics_.gauge("pipeline.workers_active");
-  g_worker_utilization_ = metrics_.gauge("pipeline.worker_utilization");
-  g_tables_ = metrics_.gauge("engine.tables");
-  g_scope_entries_ = metrics_.gauge("containment.scope_entries");
-  g_memory_resident_ = metrics_.gauge("memory.resident_bytes");
-  g_memory_logical_ = metrics_.gauge("memory.logical_bytes");
-  g_memory_saved_ = metrics_.gauge("memory.shared_saved_bytes");
   g_effective_max_queue_depth_ = metrics_.gauge("pipeline.effective_max_queue_depth");
   effective_max_queue_depth_.store(options_.max_queue_depth,
                                    std::memory_order_relaxed);
@@ -97,6 +78,7 @@ ServingEngine::ServingEngine(EngineOptions options)
   if (options_.tracing) {
     trace_sink_ = std::make_shared<TraceSink>(options_.trace_sink);
   }
+  Stats();  // Registers the gauges Stats() publishes.
 }
 
 bool ServingEngine::SetEffectiveMaxQueueDepth(size_t depth) {
@@ -710,12 +692,11 @@ void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending)
       c_sel_quality_checks_->Add(1);
       {
         std::lock_guard<std::mutex> lock(quality_mu_);
-        last_quality_ratio_ = quality_ratio;
-        min_quality_ratio_ = min_quality_ratio_ == 0.0
-                                 ? quality_ratio
-                                 : std::min(min_quality_ratio_, quality_ratio);
-        g_sel_last_quality_->Set(last_quality_ratio_);
-        g_sel_min_quality_->Set(min_quality_ratio_);
+        const double min_ratio = g_sel_min_quality_->Value();
+        g_sel_last_quality_->Set(quality_ratio);
+        g_sel_min_quality_->Set(min_ratio == 0.0
+                                    ? quality_ratio
+                                    : std::min(min_ratio, quality_ratio));
       }
       if (quality_ratio < options_.sampled_selection_min_quality) {
         c_sel_quality_fallbacks_->Add(1);
@@ -841,16 +822,6 @@ EngineStats ServingEngine::Stats() const {
       static_cast<double>(c_scan_busy_ns_->Value()) * 1e-9;
   stats.pipeline.select_seconds =
       static_cast<double>(c_select_busy_ns_->Value()) * 1e-9;
-  stats.pipeline.stage_queue_scan = StageView(h_queue_scan_);
-  stats.pipeline.stage_scan = StageView(h_scan_);
-  stats.pipeline.stage_queue_select = StageView(h_queue_select_);
-  stats.pipeline.stage_select = StageView(h_select_);
-  const LatencyHistogram::Snapshot latency = h_latency_->TakeSnapshot();
-  stats.pipeline.latency_p50_ms = latency.Percentile(0.50) * 1e3;
-  stats.pipeline.latency_p95_ms = latency.Percentile(0.95) * 1e3;
-  stats.pipeline.latency_p99_ms = latency.Percentile(0.99) * 1e3;
-  stats.pipeline.latency_mean_ms = latency.MeanSeconds() * 1e3;
-  stats.pipeline.latency_count = latency.count;
   stats.pipeline.workers_active = pool_.active_count();
   stats.pipeline.worker_utilization =
       stats.num_threads == 0
@@ -871,11 +842,8 @@ EngineStats ServingEngine::Stats() const {
   stats.selection.scope_rows_sampled = c_sel_scope_rows_->Value();
   stats.selection.quality_checks = c_sel_quality_checks_->Value();
   stats.selection.quality_fallbacks = c_sel_quality_fallbacks_->Value();
-  {
-    std::lock_guard<std::mutex> lock(quality_mu_);
-    stats.selection.last_quality_ratio = last_quality_ratio_;
-    stats.selection.min_quality_ratio = min_quality_ratio_;
-  }
+  stats.selection.last_quality_ratio = g_sel_last_quality_->Value();
+  stats.selection.min_quality_ratio = g_sel_min_quality_->Value();
 
   std::vector<std::shared_ptr<stream::StreamSession>> streams;
   std::vector<std::shared_ptr<const Table>> bound_tables;
@@ -945,149 +913,67 @@ EngineStats ServingEngine::Stats() const {
     stats.streaming.upgrades_discarded += s.upgrades_discarded;
   }
   if (trace_sink_ != nullptr) stats.trace = trace_sink_->Stats();
-  // Point-in-time gauges are refreshed on read, so a registry Snapshot (or
-  // MetricsJson) taken right after Stats() carries current values — the hot
-  // path never touches them.
-  g_queue_depth_->Set(static_cast<double>(stats.queue_depth));
-  g_workers_active_->Set(static_cast<double>(stats.pipeline.workers_active));
-  g_worker_utilization_->Set(stats.pipeline.worker_utilization);
-  g_tables_->Set(static_cast<double>(stats.tables));
-  g_scope_entries_->Set(static_cast<double>(stats.containment.scope_entries));
-  g_memory_resident_->Set(static_cast<double>(stats.memory.resident_bytes));
-  g_memory_logical_->Set(static_cast<double>(stats.memory.logical_bytes));
-  g_memory_saved_->Set(static_cast<double>(stats.memory.shared_saved_bytes));
+
+  // Publish every value the registry does not own as a gauge under its
+  // dotted name (docs/OBSERVABILITY.md), so a Snapshot or MetricsJson taken
+  // right after Stats() carries all of this struct. The request path never
+  // touches these.
+  const auto d = [](auto value) { return static_cast<double>(value); };
+  const std::pair<const char*, double> published[] = {
+      {"engine.threads", d(stats.num_threads)},
+      {"engine.queue_depth", d(stats.queue_depth)},
+      {"engine.tables", d(stats.tables)},
+      {"pipeline.workers_active", d(stats.pipeline.workers_active)},
+      {"pipeline.worker_utilization", stats.pipeline.worker_utilization},
+      {"pipeline.tenants_tracked", d(stats.pipeline.tenants_tracked)},
+      {"pipeline.max_queue_depth_configured",
+       d(stats.pipeline.max_queue_depth_configured)},
+      {"pipeline.max_pending_per_tenant",
+       d(stats.pipeline.max_pending_per_tenant)},
+      {"containment.scope_entries", d(stats.containment.scope_entries)},
+      {"selection_cache.hits", d(stats.selection_cache.hits)},
+      {"selection_cache.misses", d(stats.selection_cache.misses)},
+      {"selection_cache.insertions", d(stats.selection_cache.insertions)},
+      {"selection_cache.evictions", d(stats.selection_cache.evictions)},
+      {"selection_cache.entries", d(stats.selection_cache.entries)},
+      {"registry.hits", d(stats.registry.cache.hits)},
+      {"registry.misses", d(stats.registry.cache.misses)},
+      {"registry.evictions", d(stats.registry.cache.evictions)},
+      {"registry.entries", d(stats.registry.cache.entries)},
+      {"registry.loads", d(stats.registry.loads)},
+      {"registry.fits", d(stats.registry.fits)},
+      {"registry.coalesced", d(stats.registry.coalesced)},
+      {"memory.tables", d(stats.memory.tables)},
+      {"memory.chunks", d(stats.memory.chunks)},
+      {"memory.logical_bytes", d(stats.memory.logical_bytes)},
+      {"memory.resident_bytes", d(stats.memory.resident_bytes)},
+      {"memory.shared_saved_bytes", d(stats.memory.shared_saved_bytes)},
+      {"streaming.streams", d(stats.streaming.streams)},
+      {"streaming.appends", d(stats.streaming.appends)},
+      {"streaming.rows_appended", d(stats.streaming.rows_appended)},
+      {"streaming.fold_ins", d(stats.streaming.fold_ins)},
+      {"streaming.incremental_refreshes",
+       d(stats.streaming.incremental_refreshes)},
+      {"streaming.full_refits", d(stats.streaming.full_refits)},
+      {"streaming.fold_in_seconds", stats.streaming.fold_in_seconds},
+      {"streaming.incremental_seconds", stats.streaming.incremental_seconds},
+      {"streaming.refit_seconds", stats.streaming.refit_seconds},
+      {"streaming.deferred_upgrades", d(stats.streaming.deferred_upgrades)},
+      {"streaming.upgrades_completed", d(stats.streaming.upgrades_completed)},
+      {"streaming.upgrades_discarded", d(stats.streaming.upgrades_discarded)},
+      {"trace.committed", d(stats.trace.committed)},
+      {"trace.ring_evicted", d(stats.trace.ring_evicted)},
+      {"trace.exemplars_pinned", d(stats.trace.exemplars_pinned)},
+      {"trace.exemplars_evicted", d(stats.trace.exemplars_evicted)},
+      {"trace.threshold_ms", stats.trace.exemplar_threshold_seconds * 1e3},
+  };
+  for (const auto& [name, value] : published) metrics_.gauge(name)->Set(value);
   return stats;
 }
 
 std::string ServingEngine::MetricsJson() const {
-  Stats();  // refresh gauges
+  Stats();  // Publishes the gauges.
   return metrics_.ToJson();
-}
-
-std::string EngineStats::ToJson() const {
-  std::string json = "{";
-  json += StrFormat("\"tables\":%zu,\"threads\":%zu,\"queue_depth\":%zu,",
-                    tables, num_threads, queue_depth);
-  json += StrFormat(
-      "\"requests\":{\"submitted\":%llu,\"completed\":%llu,\"failed\":%llu,"
-      "\"coalesced\":%llu,\"shed\":%llu},",
-      (unsigned long long)requests_submitted,
-      (unsigned long long)requests_completed,
-      (unsigned long long)requests_failed,
-      (unsigned long long)requests_coalesced,
-      (unsigned long long)pipeline.requests_shed);
-  json += StrFormat(
-      "\"pipeline\":{\"queue_depth\":%zu,\"workers_active\":%zu,"
-      "\"worker_utilization\":%.6g,\"tenants_tracked\":%zu,"
-      "\"shed_global_queue\":%llu,\"shed_tenant\":%llu,"
-      "\"scan_seconds\":%.6g,\"select_seconds\":%.6g,"
-      "\"latency_ms\":{\"count\":%llu,\"mean\":%.6g,\"p50\":%.6g,"
-      "\"p95\":%.6g,\"p99\":%.6g},",
-      queue_depth, pipeline.workers_active, pipeline.worker_utilization,
-      pipeline.tenants_tracked,
-      (unsigned long long)pipeline.shed_global_queue,
-      (unsigned long long)pipeline.shed_tenant,
-      pipeline.scan_seconds, pipeline.select_seconds,
-      (unsigned long long)pipeline.latency_count, pipeline.latency_mean_ms,
-      pipeline.latency_p50_ms, pipeline.latency_p95_ms,
-      pipeline.latency_p99_ms);
-  const auto stage_json = [](const char* name, const StageLatencyStats& s) {
-    return StrFormat(
-        "\"%s\":{\"count\":%llu,\"mean_ms\":%.6g,\"p50_ms\":%.6g,"
-        "\"p95_ms\":%.6g}",
-        name, (unsigned long long)s.count, s.mean_ms, s.p50_ms, s.p95_ms);
-  };
-  json += "\"stages\":{";
-  json += stage_json("queue_scan", pipeline.stage_queue_scan) + ",";
-  json += stage_json("scan", pipeline.stage_scan) + ",";
-  json += stage_json("queue_select", pipeline.stage_queue_select) + ",";
-  json += stage_json("select", pipeline.stage_select);
-  json += "},";
-  json += StrFormat(
-      "\"admission\":{\"max_queue_depth_effective\":%zu,"
-      "\"max_queue_depth_configured\":%zu,\"max_pending_per_tenant\":%zu}",
-      pipeline.max_queue_depth_effective, pipeline.max_queue_depth_configured,
-      pipeline.max_pending_per_tenant);
-  json += "},";
-  json += StrFormat(
-      "\"trace\":{\"committed\":%llu,\"ring_evicted\":%llu,"
-      "\"exemplars_pinned\":%llu,\"exemplars_evicted\":%llu,"
-      "\"threshold_ms\":%.6g},",
-      (unsigned long long)trace.committed,
-      (unsigned long long)trace.ring_evicted,
-      (unsigned long long)trace.exemplars_pinned,
-      (unsigned long long)trace.exemplars_evicted,
-      trace.exemplar_threshold_seconds * 1e3);
-  json += StrFormat(
-      "\"selection\":{\"sampled\":%llu,\"exact\":%llu,"
-      "\"sample_rows_total\":%llu,\"scope_rows_sampled\":%llu,"
-      "\"quality_checks\":%llu,\"quality_fallbacks\":%llu,"
-      "\"last_quality_ratio\":%.6g,\"min_quality_ratio\":%.6g},",
-      (unsigned long long)selection.sampled,
-      (unsigned long long)selection.exact,
-      (unsigned long long)selection.sample_rows_total,
-      (unsigned long long)selection.scope_rows_sampled,
-      (unsigned long long)selection.quality_checks,
-      (unsigned long long)selection.quality_fallbacks,
-      selection.last_quality_ratio, selection.min_quality_ratio);
-  json += StrFormat(
-      "\"selection_cache\":{\"hits\":%llu,\"misses\":%llu,\"insertions\":%llu,"
-      "\"evictions\":%llu,\"entries\":%zu},",
-      (unsigned long long)selection_cache.hits,
-      (unsigned long long)selection_cache.misses,
-      (unsigned long long)selection_cache.insertions,
-      (unsigned long long)selection_cache.evictions, selection_cache.entries);
-  json += StrFormat(
-      "\"containment\":{\"hits\":%llu,\"misses\":%llu,"
-      "\"restricted_scan_rows\":%llu,\"full_scan_rows\":%llu,"
-      "\"scope_entries\":%zu,\"scope_invalidations\":%llu},",
-      (unsigned long long)containment.containment_hits,
-      (unsigned long long)containment.containment_misses,
-      (unsigned long long)containment.restricted_scan_rows,
-      (unsigned long long)containment.full_scan_rows,
-      containment.scope_entries,
-      (unsigned long long)containment.scope_invalidations);
-  json += StrFormat(
-      "\"scan\":{\"rows_visited\":%llu,\"rows_matched\":%llu,"
-      "\"chunks_scanned\":%llu,\"chunks_pruned\":%llu,"
-      "\"code_eval_predicates\":%llu},",
-      (unsigned long long)scan.rows_visited,
-      (unsigned long long)scan.rows_matched,
-      (unsigned long long)scan.chunks_scanned,
-      (unsigned long long)scan.chunks_pruned,
-      (unsigned long long)scan.code_eval_predicates);
-  json += StrFormat(
-      "\"registry\":{\"hits\":%llu,\"misses\":%llu,\"evictions\":%llu,"
-      "\"entries\":%zu,\"loads\":%llu,\"fits\":%llu,\"coalesced\":%llu},",
-      (unsigned long long)registry.cache.hits,
-      (unsigned long long)registry.cache.misses,
-      (unsigned long long)registry.cache.evictions, registry.cache.entries,
-      (unsigned long long)registry.loads, (unsigned long long)registry.fits,
-      (unsigned long long)registry.coalesced);
-  json += StrFormat(
-      "\"memory\":{\"tables\":%zu,\"chunks\":%zu,\"logical_bytes\":%llu,"
-      "\"resident_bytes\":%llu,\"shared_saved_bytes\":%llu},",
-      memory.tables, memory.chunks, (unsigned long long)memory.logical_bytes,
-      (unsigned long long)memory.resident_bytes,
-      (unsigned long long)memory.shared_saved_bytes);
-  json += StrFormat(
-      "\"streaming\":{\"streams\":%zu,\"appends\":%llu,\"rows_appended\":%llu,"
-      "\"fold_ins\":%llu,\"incremental_refreshes\":%llu,\"full_refits\":%llu,"
-      "\"fold_in_seconds\":%.6g,\"incremental_seconds\":%.6g,"
-      "\"refit_seconds\":%.6g,\"deferred_upgrades\":%llu,"
-      "\"upgrades_completed\":%llu,\"upgrades_discarded\":%llu,"
-      "\"cache_invalidations\":%llu}}",
-      streaming.streams, (unsigned long long)streaming.appends,
-      (unsigned long long)streaming.rows_appended,
-      (unsigned long long)streaming.fold_ins,
-      (unsigned long long)streaming.incremental_refreshes,
-      (unsigned long long)streaming.full_refits, streaming.fold_in_seconds,
-      streaming.incremental_seconds, streaming.refit_seconds,
-      (unsigned long long)streaming.deferred_upgrades,
-      (unsigned long long)streaming.upgrades_completed,
-      (unsigned long long)streaming.upgrades_discarded,
-      (unsigned long long)streaming.cache_invalidations);
-  return json;
 }
 
 }  // namespace subtab::service

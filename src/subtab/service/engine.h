@@ -48,8 +48,8 @@
 /// neither materializes the intermediate query result. Admission control
 /// bounds what a single tenant (table id) may keep in flight and what the
 /// whole queue may hold; excess requests fail fast with kUnavailable
-/// instead of queueing unboundedly (EngineStats::pipeline counts sheds and
-/// latency percentiles for the ops loop that tunes those bounds).
+/// instead of queueing unboundedly (the pipeline.shed.* counters and the
+/// pipeline.latency histogram feed the ops loop that tunes those bounds).
 ///
 /// Results are bit-identical to the serial SubTab::SelectForQuery path:
 /// ResolveScope + SelectScoped *is* that method split at its seam (see
@@ -227,17 +227,11 @@ struct MemoryStats {
   uint64_t shared_saved_bytes = 0;
 };
 
-/// Latency view of one pipeline stage (a registry histogram's snapshot,
-/// util/latency_histogram.h bucket resolution).
-struct StageLatencyStats {
-  uint64_t count = 0;
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-};
-
-/// Pipeline health: shed/latency counters plus the gauges a load balancer
-/// or autoscaler reads (queue depth lives on EngineStats directly).
+/// Pipeline health: shed counters plus the gauges a load balancer or
+/// autoscaler reads (queue depth lives on EngineStats directly). Latency
+/// lives only in the registry's histograms: pipeline.latency (submit ->
+/// response, every response that resolved against a table) and
+/// pipeline.stage.{queue_scan,scan,queue_select,select}.
 struct PipelineStats {
   /// Requests refused by admission control (never queued).
   uint64_t requests_shed = 0;
@@ -247,26 +241,10 @@ struct PipelineStats {
   /// Summed wall time inside each stage, across all workers.
   double scan_seconds = 0.0;
   double select_seconds = 0.0;
-  /// End-to-end latency (submit -> response) percentiles over every
-  /// response that resolved against a table — cache hits included, sheds
-  /// and unknown-table misses excluded (util/latency_histogram.h bucket
-  /// resolution).
-  double latency_p50_ms = 0.0;
-  double latency_p95_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double latency_mean_ms = 0.0;
-  uint64_t latency_count = 0;
   /// Gauges at snapshot time.
   size_t workers_active = 0;
   double worker_utilization = 0.0;  ///< workers_active / num_threads.
   size_t tenants_tracked = 0;       ///< Tenants with admitted work.
-  /// Per-stage latency attribution: queue wait before the scan hop, the
-  /// scan itself, queue wait before the select hop, the selection. Recorded
-  /// for every staged computation whether tracing is on or off.
-  StageLatencyStats stage_queue_scan;
-  StageLatencyStats stage_scan;
-  StageLatencyStats stage_queue_select;
-  StageLatencyStats stage_select;
   /// Admission limits as enforced RIGHT NOW. `max_queue_depth_effective` is
   /// what TryAdmit checks — it differs from `max_queue_depth_configured`
   /// only while SLO-adaptive admission has tightened it; shed messages and
@@ -332,7 +310,11 @@ struct ScanAttributionStats {
   uint64_t code_eval_predicates = 0;
 };
 
-/// Counter snapshot for introspection / load-shedding decisions.
+/// Typed counter/gauge snapshot for in-process callers (load-shedding
+/// decisions, bench arithmetic). Every value here is also in the engine's
+/// MetricsRegistry under the dotted name docs/OBSERVABILITY.md lists:
+/// Stats() reads the registry's counters and publishes the rest as gauges,
+/// so MetricsJson(), /metrics and /statusz render the same values.
 struct EngineStats {
   ModelRegistryStats registry;
   CacheCounters selection_cache;
@@ -352,13 +334,6 @@ struct EngineStats {
   size_t num_threads = 0;
   size_t queue_depth = 0;
   size_t tables = 0;
-
-  /// One-line JSON rendering of every counter — the machine-readable form
-  /// emitted by serving_demo and the bench harnesses (bench_common.h's
-  /// "json |" convention) and by any ops endpoint that scrapes the engine.
-  /// Includes the pipeline gauges (queue depth, worker utilization) next to
-  /// the counters.
-  std::string ToJson() const;
 };
 
 class ServingEngine {
@@ -410,15 +385,19 @@ class ServingEngine {
   /// Blocks until every submitted request has completed.
   void Drain();
 
+  /// Snapshots every section and publishes the values the registry does
+  /// not count itself (registry, selection-cache, streaming, trace, memory
+  /// and pool gauges) into metrics(), so a Snapshot() taken after it is
+  /// current.
   EngineStats Stats() const;
 
   /// The trace sink (null when EngineOptions::tracing is false). Benches
   /// export its exemplars as JSONL; ops endpoints scrape Recent().
   const std::shared_ptr<TraceSink>& trace_sink() const { return trace_sink_; }
 
-  /// The unified registry every EngineStats section snapshots from
-  /// (util/metrics.h naming scheme — see docs/OBSERVABILITY.md). Counters
-  /// and histograms are live; gauges refresh on Stats()/MetricsJson().
+  /// The engine's one stats store (util/metrics.h naming scheme — see
+  /// docs/OBSERVABILITY.md). Counters and histograms are live; gauges
+  /// refresh on Stats()/MetricsJson().
   const MetricsRegistry& metrics() const { return metrics_; }
 
   /// Mutable registry access for co-located observers (ops/slo_monitor.h
@@ -426,7 +405,8 @@ class ServingEngine {
   /// and monitor state together). The registry is internally synchronized.
   MetricsRegistry* mutable_metrics() const { return &metrics_; }
 
-  /// Refreshes the gauges (one Stats() pass) and renders the registry.
+  /// Refreshes the gauges (one Stats() pass) and renders the registry: the
+  /// engine's JSON stats form (/statusz, bench records, demos).
   std::string MetricsJson() const;
 
   /// The global queue bound TryAdmit enforces right now: equal to
@@ -564,10 +544,10 @@ class ServingEngine {
   std::atomic<size_t> effective_max_queue_depth_;
 
   /// Every counter/gauge/histogram the engine maintains lives here under a
-  /// stable dotted name; the EngineStats sections are snapshot views over
-  /// it. The pointers below are the constructor-cached instruments the
-  /// request path updates lock-free (util/metrics.h contract). Mutable:
-  /// Stats()/MetricsJson() refresh gauges from a const context.
+  /// stable dotted name; EngineStats is a typed snapshot of it. The
+  /// pointers below are the constructor-cached instruments the request path
+  /// updates lock-free (util/metrics.h contract). Mutable: Stats() and
+  /// MetricsJson() publish gauges from a const context.
   mutable MetricsRegistry metrics_;
   Counter* c_submitted_;
   Counter* c_completed_;
@@ -601,23 +581,13 @@ class ServingEngine {
   LatencyHistogram* h_scan_;
   LatencyHistogram* h_queue_select_;
   LatencyHistogram* h_select_;
-  Gauge* g_queue_depth_;
-  Gauge* g_workers_active_;
-  Gauge* g_worker_utilization_;
-  Gauge* g_tables_;
-  Gauge* g_scope_entries_;
-  Gauge* g_memory_resident_;
-  Gauge* g_memory_logical_;
-  Gauge* g_memory_saved_;
   Gauge* g_effective_max_queue_depth_;
 
   /// Quality gate for the sampled selection path (internally synchronized);
-  /// quality_mu_ guards only the last/min ratio aggregates below, which the
-  /// rare check path writes and Stats() reads.
+  /// quality_mu_ serializes the rare check path's read-modify-write of the
+  /// selection.min_quality_ratio gauge.
   SampleQualityCheck sample_quality_;
-  mutable std::mutex quality_mu_;
-  double last_quality_ratio_ = 0.0;
-  double min_quality_ratio_ = 0.0;
+  std::mutex quality_mu_;
 
   /// Created iff options_.tracing; shared with bound streams so refresh
   /// traces land next to request traces.

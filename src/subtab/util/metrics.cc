@@ -55,7 +55,8 @@ std::string MetricsSnapshot::ToJson() const {
   for (const auto& [name, value] : gauges) {
     if (!first) json += ",";
     first = false;
-    json += StrFormat("\"%s\":%.6g", name.c_str(), value);
+    // %.15g: integral gauges (entry and byte counts) render exactly.
+    json += StrFormat("\"%s\":%.15g", name.c_str(), value);
   }
   json += "},\"histograms\":{";
   first = true;

@@ -12,14 +12,15 @@
 #include "subtab/util/latency_histogram.h"
 
 /// \file metrics.h
-/// The unified metrics registry behind EngineStats: counters, gauges, and
-/// latency histograms under stable dotted names ("pipeline.stage.scan",
-/// "containment.hits", ...). Instruments are registered once (a mutexed map
-/// lookup at construction time), then updated lock-free on the request path
-/// via the returned stable pointers — registration cost never touches a hot
-/// path. The naming scheme is cataloged in docs/OBSERVABILITY.md; the
-/// EngineStats struct sections are snapshot VIEWS over these instruments,
-/// not independent counters.
+/// The unified metrics registry — the serving engine's one stats store and
+/// JSON renderer: counters, gauges, and latency histograms under stable
+/// dotted names ("pipeline.stage.scan", "containment.hits", ...).
+/// Instruments are registered once (a mutexed map lookup at construction
+/// time), then updated lock-free on the request path via the returned
+/// stable pointers — registration cost never touches a hot path. The
+/// naming scheme is cataloged in docs/OBSERVABILITY.md; the typed
+/// service::EngineStats is a snapshot of these instruments, not a second
+/// set of counters.
 ///
 /// Snapshots support deltas: Snapshot() captures every instrument, and
 /// Delta(earlier) subtracts counters and histogram buckets (gauges pass

@@ -519,21 +519,5 @@ TEST(ContainmentEngineTest, ConcurrentChainsWithAppendsStayCorrect) {
   EXPECT_EQ(stats.requests_submitted, stats.requests_completed);
 }
 
-TEST(ContainmentEngineTest, ToJsonEmitsContainmentSection) {
-  ServingEngine engine;
-  ASSERT_TRUE(engine.RegisterTable("t", DrillTable(), DrillConfig()).ok());
-  engine.Select({.table_id = "t",
-                 .query = Where({Predicate::Num("a", CmpOp::kGe, 1.0)}),
-                 .k = {},
-                 .l = {},
-                 .seed = {}});
-  const std::string json = engine.Stats().ToJson();
-  for (const char* field :
-       {"\"containment\":{", "\"restricted_scan_rows\":", "\"full_scan_rows\":",
-        "\"scope_entries\":", "\"scope_invalidations\":"}) {
-    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
-  }
-}
-
 }  // namespace
 }  // namespace subtab

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "subtab/core/model_io.h"
 #include "subtab/core/subtab.h"
@@ -147,6 +149,176 @@ TEST(ModelIoTest, FitCachedRoundTrip) {
   SubTabView b = second->Select(5, 5);
   EXPECT_EQ(a.row_ids, b.row_ids);
   EXPECT_EQ(a.col_ids, b.col_ids);
+}
+
+// ---- Corrupt artifacts: every field LoadModel trusts to index or size
+// ---- memory is patched in a saved artifact and must be refused with a
+// ---- Status, never abort, mis-tokenize, or size a huge allocation.
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+template <typename T>
+T Get(const std::string& bytes, size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void Put(std::string* bytes, size_t at, T value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(T));
+}
+
+/// Byte offsets of the fields LoadModel validates, parsed from a saved
+/// artifact (the layout SaveModel writes in core/model_io.cc).
+struct ArtifactLayout {
+  struct Binning {
+    size_t type = 0;            ///< u8 binning type.
+    size_t edges = 0;           ///< u64 count, then f64 edges.
+    size_t code_to_bin = 0;     ///< u64 count, then u32 bins.
+    size_t labels = 0;          ///< u64 count, then length-prefixed strings.
+    size_t labels_end = 0;
+  };
+  std::vector<Binning> columns;
+  size_t dim = 0;  ///< u64 embedding dim.
+};
+
+ArtifactLayout ParseLayout(const std::string& bytes) {
+  ArtifactLayout layout;
+  size_t at = 8 + 4;  // Magic, version.
+  const uint64_t columns = Get<uint64_t>(bytes, at);
+  at += 8;
+  for (uint64_t c = 0; c < columns; ++c) {
+    at += 8 + Get<uint64_t>(bytes, at) + 1;  // Name, schema type.
+  }
+  at += 1 + 4 + 4 + 8;  // Strategy, num_bins, max_cat_bins, column count.
+  for (uint64_t c = 0; c < columns; ++c) {
+    ArtifactLayout::Binning binning;
+    binning.type = at;
+    at += 1;
+    binning.edges = at;
+    at += 8 + 8 * Get<uint64_t>(bytes, at);
+    binning.code_to_bin = at;
+    at += 8 + 4 * Get<uint64_t>(bytes, at) + 4;  // Bins, num_value_bins.
+    binning.labels = at;
+    const uint64_t labels = Get<uint64_t>(bytes, at);
+    at += 8;
+    for (uint64_t l = 0; l < labels; ++l) at += 8 + Get<uint64_t>(bytes, at);
+    binning.labels_end = at;
+    layout.columns.push_back(binning);
+  }
+  layout.dim = at + 8;  // After the u64 vocabulary size.
+  return layout;
+}
+
+class CorruptArtifactTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data_ = MakeSpotify(600, 61);
+    PreprocessedTable pre = Preprocess(data_.table, FastConfig());
+    const std::string path = TempPath("model_corrupt.stab");
+    ASSERT_TRUE(SaveModel(pre, data_.table, path).ok());
+    saved_ = ReadFile(path);
+    bytes_ = saved_;
+    layout_ = ParseLayout(saved_);
+    ASSERT_TRUE(LoadPatched().ok());  // The parser found the real layout.
+  }
+
+  /// The first column of the given kind with at least two edges (numeric)
+  /// or two code_to_bin entries (categorical).
+  const ArtifactLayout::Binning& FirstColumn(bool numeric) const {
+    for (size_t c = 0; c < data_.table.num_columns(); ++c) {
+      const ArtifactLayout::Binning& binning = layout_.columns[c];
+      const size_t count = Get<uint64_t>(
+          saved_, numeric ? binning.edges : binning.code_to_bin);
+      if (data_.table.column(c).is_numeric() == numeric && count >= 2) {
+        return binning;
+      }
+    }
+    SUBTAB_CHECK(false);
+    return layout_.columns[0];
+  }
+
+  Status LoadPatched() const {
+    const std::string path = TempPath("model_corrupt_patched.stab");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(bytes_.data(), static_cast<std::streamsize>(bytes_.size()));
+    }
+    return LoadModel(data_.table, path).status();
+  }
+
+  void ExpectRejected(const char* what) {
+    const Status status = LoadPatched();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << what << ": " << status.ToString();
+    bytes_ = saved_;
+  }
+
+  GeneratedDataset data_;
+  std::string saved_;
+  std::string bytes_;
+  ArtifactLayout layout_;
+};
+
+TEST_F(CorruptArtifactTest, RejectsCodeToBinNotCoveringDictionary) {
+  const ArtifactLayout::Binning& column = FirstColumn(/*numeric=*/false);
+  const uint64_t entries = Get<uint64_t>(bytes_, column.code_to_bin);
+  bytes_.erase(column.code_to_bin + 8 + 4, 4 * (entries - 1));
+  Put<uint64_t>(&bytes_, column.code_to_bin, 1);
+  ExpectRejected("code_to_bin shrunk to one entry");
+}
+
+TEST_F(CorruptArtifactTest, RejectsCodeToBinEntryOutOfRange) {
+  const ArtifactLayout::Binning& column = FirstColumn(/*numeric=*/false);
+  Put<uint32_t>(&bytes_, column.code_to_bin + 8, 100000);
+  ExpectRejected("code_to_bin entry past num_value_bins");
+}
+
+TEST_F(CorruptArtifactTest, RejectsLabelCountMismatch) {
+  const ArtifactLayout::Binning& column = FirstColumn(/*numeric=*/true);
+  const uint64_t labels = Get<uint64_t>(bytes_, column.labels);
+  bytes_.insert(column.labels_end, std::string(8, '\0'));  // An empty label.
+  Put<uint64_t>(&bytes_, column.labels, labels + 1);
+  ExpectRejected("one label too many");
+}
+
+TEST_F(CorruptArtifactTest, RejectsBadNumericEdges) {
+  const ArtifactLayout::Binning& column = FirstColumn(/*numeric=*/true);
+  const uint64_t edges = Get<uint64_t>(bytes_, column.edges);
+  const size_t first = column.edges + 8;
+
+  bytes_.erase(first + 8 * (edges - 1), 8);
+  Put<uint64_t>(&bytes_, column.edges, edges - 1);
+  ExpectRejected("edges.size() + 1 != num_value_bins");
+
+  Put<double>(&bytes_, first, Get<double>(saved_, first + 8));
+  Put<double>(&bytes_, first + 8, Get<double>(saved_, first));
+  ExpectRejected("unsorted edges");
+
+  Put<double>(&bytes_, first, std::numeric_limits<double>::quiet_NaN());
+  ExpectRejected("NaN edge");
+}
+
+TEST_F(CorruptArtifactTest, RejectsBinningTypeThatDisagreesWithSchema) {
+  Put<uint8_t>(&bytes_, FirstColumn(/*numeric=*/true).type, 1);
+  ExpectRejected("numeric column binned as categorical");
+  Put<uint8_t>(&bytes_, FirstColumn(/*numeric=*/false).type, 0);
+  ExpectRejected("categorical column binned as numeric");
+  Put<uint8_t>(&bytes_, FirstColumn(/*numeric=*/false).type, 7);
+  ExpectRejected("unknown binning type");
+}
+
+TEST_F(CorruptArtifactTest, RejectsEmbeddingLargerThanFile) {
+  // 2^40 sizes a ~TB allocation; 2^62 wraps vocab * dim to a small count.
+  for (const uint64_t dim : {uint64_t{1} << 40, uint64_t{1} << 62}) {
+    Put<uint64_t>(&bytes_, layout_.dim, dim);
+    ExpectRejected("dim larger than the bytes left");
+  }
 }
 
 }  // namespace

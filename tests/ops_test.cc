@@ -501,9 +501,11 @@ TEST(AdaptiveAdmissionTest, ShedMessageAndStatsReportEffectiveBound) {
   const service::EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.pipeline.max_queue_depth_effective, 2u);
   EXPECT_EQ(stats.pipeline.max_queue_depth_configured, 4u);
-  const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"max_queue_depth_effective\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"max_queue_depth_configured\":4"), std::string::npos);
+  const std::string json = engine.MetricsJson();
+  EXPECT_NE(json.find("\"pipeline.effective_max_queue_depth\":2"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"pipeline.max_queue_depth_configured\":4"),
+            std::string::npos);
 
   gate.set_value();
   engine.Drain();
@@ -602,7 +604,8 @@ TEST(AdminServerTest, ServesAllEndpointsAndHealthzFlipsUnderShedding) {
   EXPECT_EQ(StatusCodeOf(statusz), 200);
   EXPECT_NE(statusz.find("\"engine\":{"), std::string::npos);
   EXPECT_NE(statusz.find("\"slo\":{"), std::string::npos);
-  EXPECT_NE(statusz.find("\"admission\":{"), std::string::npos);
+  EXPECT_NE(statusz.find("\"pipeline.effective_max_queue_depth\":"),
+            std::string::npos);
   EXPECT_NE(statusz.find("\"uptime_seconds\":"), std::string::npos);
   EXPECT_NE(statusz.find("\"build\":{"), std::string::npos);
 

@@ -472,9 +472,11 @@ TEST(EngineTest, StagedPipelineMatchesSerial) {
   const service::EngineStats stats = staged.Stats();
   EXPECT_GT(stats.pipeline.scan_seconds, 0.0);
   EXPECT_GT(stats.pipeline.select_seconds, 0.0);
-  EXPECT_EQ(stats.pipeline.latency_count, requests.size());
-  EXPECT_GT(stats.pipeline.latency_p50_ms, 0.0);
-  EXPECT_GE(stats.pipeline.latency_p99_ms, stats.pipeline.latency_p50_ms);
+  const LatencyHistogram::Snapshot latency =
+      staged.metrics().Snapshot().histograms.at("pipeline.latency");
+  EXPECT_EQ(latency.count, requests.size());
+  EXPECT_GT(latency.Percentile(0.50), 0.0);
+  EXPECT_GE(latency.Percentile(0.99), latency.Percentile(0.50));
 }
 
 TEST(EngineTest, AdmissionControlShedsInsteadOfQueueing) {
@@ -532,19 +534,185 @@ TEST(EngineTest, AdmissionControlShedsInsteadOfQueueing) {
   for (auto& f : repeats) EXPECT_TRUE(f.get().status.ok());
 }
 
-TEST(EngineTest, ToJsonEmitsPipelineGaugesAndShedCounters) {
-  ServingEngine engine;
-  ASSERT_TRUE(engine.RegisterTable("t", TinyTable(), TinyConfig()).ok());
-  engine.Select({.table_id = "t", .query = FilterQuery(1.0)});
-  const std::string json = engine.Stats().ToJson();
-  for (const char* field :
-       {"\"pipeline\":{", "\"queue_depth\":", "\"workers_active\":",
-        "\"worker_utilization\":", "\"tenants_tracked\":", "\"scan_seconds\":",
-        "\"select_seconds\":", "\"latency_ms\":{", "\"p50\":", "\"p95\":",
-        "\"p99\":", "\"shed\":", "\"deferred_upgrades\":",
-        "\"upgrades_completed\":"}) {
-    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
+// The registry is the engine's one stats surface: after a workload that
+// touches every section (registry load, stream append, sampled selects with
+// a quality check, cache hit, dedup, containment hit, shed, traces), every
+// typed EngineStats counter and gauge equals its dotted registry value.
+TEST(EngineTest, RegistryAgreesWithTypedStats) {
+  const std::string dir = ::testing::TempDir() + "/subtab_agreement_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    EngineOptions fit_options;
+    fit_options.persist_dir = dir;
+    ServingEngine fitter(fit_options);
+    ASSERT_TRUE(fitter.RegisterTable("t", TinyTable(), TinyConfig()).ok());
   }
+  EngineOptions options;
+  options.num_threads = 1;
+  options.persist_dir = dir;
+  options.max_pending_per_tenant = 2;
+  options.max_queue_depth = 64;
+  options.sampled_selection_min_rows = 40;
+  options.selection_sample_rows = 16;
+  ServingEngine engine(options);
+  ASSERT_TRUE(engine.RegisterTable("t", TinyTable(), TinyConfig()).ok());
+  stream::StreamSessionOptions stream_options;
+  stream_options.config = TinyConfig();
+  auto session = stream::StreamSession::Open(TinyTable(1.0), stream_options);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(engine.RegisterStream("s", *session).ok());
+  ASSERT_TRUE(engine.Append("s", TinyTable(2.0)).ok());
+
+  ASSERT_TRUE(engine.Select({.table_id = "t", .query = FilterQuery(10.0)})
+                  .status.ok());
+  ASSERT_TRUE(engine.Select({.table_id = "t", .query = FilterQuery(10.0)})
+                  .from_cache);
+  ASSERT_TRUE(engine.Select({.table_id = "s", .query = FilterQuery(5.0)})
+                  .status.ok());
+  // Hold the worker: a duplicate coalesces, a third computation is shed by
+  // the tenant bound, and the refinement of a >= 10 hits containment.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  engine.SubmitBarrierTaskForTesting([opened] { opened.wait(); });
+  auto first = engine.SubmitSelect({.table_id = "t", .query = FilterQuery(20.0)});
+  auto duplicate =
+      engine.SubmitSelect({.table_id = "t", .query = FilterQuery(20.0)});
+  auto second = engine.SubmitSelect({.table_id = "t", .query = FilterQuery(30.0)});
+  auto shed = engine.SubmitSelect({.table_id = "t", .query = FilterQuery(40.0)});
+  gate.set_value();
+  engine.Drain();
+  EXPECT_TRUE(first.get().status.ok() && duplicate.get().status.ok() &&
+              second.get().status.ok());
+  EXPECT_EQ(shed.get().status.code(), StatusCode::kUnavailable);
+
+  const service::EngineStats stats = engine.Stats();
+  const MetricsSnapshot snap = engine.metrics().Snapshot();
+  // The workload reached every section, so the comparisons below are not
+  // zeros agreeing with zeros.
+  EXPECT_EQ(stats.registry.loads, 1u);
+  EXPECT_EQ(stats.streaming.appends, 1u);
+  EXPECT_GT(stats.selection_cache.hits, 0u);
+  EXPECT_EQ(stats.requests_coalesced, 1u);
+  EXPECT_EQ(stats.pipeline.shed_tenant, 1u);
+  EXPECT_GT(stats.containment.containment_hits, 0u);
+  EXPECT_GT(stats.selection.quality_checks, 0u);
+  EXPECT_GT(stats.trace.committed, 0u);
+
+  const auto d = [](auto value) { return static_cast<double>(value); };
+  const struct {
+    const char* name;
+    double typed;
+  } rows[] = {
+      {"engine.requests.submitted", d(stats.requests_submitted)},
+      {"engine.requests.completed", d(stats.requests_completed)},
+      {"engine.requests.failed", d(stats.requests_failed)},
+      {"engine.requests.coalesced", d(stats.requests_coalesced)},
+      {"engine.threads", d(stats.num_threads)},
+      {"engine.queue_depth", d(stats.queue_depth)},
+      {"engine.tables", d(stats.tables)},
+      {"pipeline.shed.global_queue", d(stats.pipeline.shed_global_queue)},
+      {"pipeline.shed.tenant", d(stats.pipeline.shed_tenant)},
+      {"pipeline.workers_active", d(stats.pipeline.workers_active)},
+      {"pipeline.worker_utilization", stats.pipeline.worker_utilization},
+      {"pipeline.tenants_tracked", d(stats.pipeline.tenants_tracked)},
+      {"pipeline.effective_max_queue_depth",
+       d(stats.pipeline.max_queue_depth_effective)},
+      {"pipeline.max_queue_depth_configured",
+       d(stats.pipeline.max_queue_depth_configured)},
+      {"pipeline.max_pending_per_tenant",
+       d(stats.pipeline.max_pending_per_tenant)},
+      {"containment.hits", d(stats.containment.containment_hits)},
+      {"containment.misses", d(stats.containment.containment_misses)},
+      {"containment.restricted_scan_rows",
+       d(stats.containment.restricted_scan_rows)},
+      {"containment.full_scan_rows", d(stats.containment.full_scan_rows)},
+      {"containment.scope_entries", d(stats.containment.scope_entries)},
+      {"containment.scope_invalidations",
+       d(stats.containment.scope_invalidations)},
+      {"scan.rows_visited", d(stats.scan.rows_visited)},
+      {"scan.rows_matched", d(stats.scan.rows_matched)},
+      {"scan.chunks_scanned", d(stats.scan.chunks_scanned)},
+      {"scan.chunks_pruned", d(stats.scan.chunks_pruned)},
+      {"scan.code_eval_predicates", d(stats.scan.code_eval_predicates)},
+      {"selection.sampled", d(stats.selection.sampled)},
+      {"selection.exact", d(stats.selection.exact)},
+      {"selection.sample_rows", d(stats.selection.sample_rows_total)},
+      {"selection.scope_rows_sampled", d(stats.selection.scope_rows_sampled)},
+      {"selection.sample_quality_checks", d(stats.selection.quality_checks)},
+      {"selection.sample_quality_fallbacks",
+       d(stats.selection.quality_fallbacks)},
+      {"selection.last_quality_ratio", stats.selection.last_quality_ratio},
+      {"selection.min_quality_ratio", stats.selection.min_quality_ratio},
+      {"selection_cache.hits", d(stats.selection_cache.hits)},
+      {"selection_cache.misses", d(stats.selection_cache.misses)},
+      {"selection_cache.insertions", d(stats.selection_cache.insertions)},
+      {"selection_cache.evictions", d(stats.selection_cache.evictions)},
+      {"selection_cache.entries", d(stats.selection_cache.entries)},
+      {"registry.hits", d(stats.registry.cache.hits)},
+      {"registry.misses", d(stats.registry.cache.misses)},
+      {"registry.evictions", d(stats.registry.cache.evictions)},
+      {"registry.entries", d(stats.registry.cache.entries)},
+      {"registry.loads", d(stats.registry.loads)},
+      {"registry.fits", d(stats.registry.fits)},
+      {"registry.coalesced", d(stats.registry.coalesced)},
+      {"memory.tables", d(stats.memory.tables)},
+      {"memory.chunks", d(stats.memory.chunks)},
+      {"memory.logical_bytes", d(stats.memory.logical_bytes)},
+      {"memory.resident_bytes", d(stats.memory.resident_bytes)},
+      {"memory.shared_saved_bytes", d(stats.memory.shared_saved_bytes)},
+      {"streaming.streams", d(stats.streaming.streams)},
+      {"streaming.appends", d(stats.streaming.appends)},
+      {"streaming.rows_appended", d(stats.streaming.rows_appended)},
+      {"streaming.fold_ins", d(stats.streaming.fold_ins)},
+      {"streaming.incremental_refreshes",
+       d(stats.streaming.incremental_refreshes)},
+      {"streaming.full_refits", d(stats.streaming.full_refits)},
+      {"streaming.fold_in_seconds", stats.streaming.fold_in_seconds},
+      {"streaming.incremental_seconds", stats.streaming.incremental_seconds},
+      {"streaming.refit_seconds", stats.streaming.refit_seconds},
+      {"streaming.deferred_upgrades", d(stats.streaming.deferred_upgrades)},
+      {"streaming.upgrades_completed", d(stats.streaming.upgrades_completed)},
+      {"streaming.upgrades_discarded", d(stats.streaming.upgrades_discarded)},
+      {"streaming.cache_invalidations",
+       d(stats.streaming.cache_invalidations)},
+      {"trace.committed", d(stats.trace.committed)},
+      {"trace.ring_evicted", d(stats.trace.ring_evicted)},
+      {"trace.exemplars_pinned", d(stats.trace.exemplars_pinned)},
+      {"trace.exemplars_evicted", d(stats.trace.exemplars_evicted)},
+      {"trace.threshold_ms", stats.trace.exemplar_threshold_seconds * 1e3},
+  };
+  for (const auto& row : rows) {
+    const auto counter = snap.counters.find(row.name);
+    const auto gauge = snap.gauges.find(row.name);
+    ASSERT_TRUE(counter != snap.counters.end() || gauge != snap.gauges.end())
+        << row.name << " is not in the registry";
+    EXPECT_EQ(counter != snap.counters.end() ? d(counter->second)
+                                             : gauge->second,
+              row.typed)
+        << row.name;
+  }
+  // Derived typed fields are sums or rescalings of registry counters.
+  EXPECT_EQ(stats.pipeline.requests_shed,
+            snap.counters.at("pipeline.shed.global_queue") +
+                snap.counters.at("pipeline.shed.tenant"));
+  EXPECT_EQ(stats.pipeline.scan_seconds,
+            d(snap.counters.at("pipeline.scan_busy_ns")) * 1e-9);
+  EXPECT_EQ(stats.pipeline.select_seconds,
+            d(snap.counters.at("pipeline.select_busy_ns")) * 1e-9);
+  // Latency lives only in the histograms: end to end and per stage.
+  for (const char* name :
+       {"pipeline.latency", "pipeline.stage.queue_scan", "pipeline.stage.scan",
+        "pipeline.stage.queue_select", "pipeline.stage.select"}) {
+    ASSERT_TRUE(snap.histograms.count(name)) << name;
+    EXPECT_GT(snap.histograms.at(name).count, 0u) << name;
+  }
+  const std::string json = engine.MetricsJson();
+  for (const char* key : {"\"p50_ms\":", "\"p95_ms\":", "\"p99_ms\":",
+                          "\"memory.resident_bytes\":"}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Engine replay produces the same capture statistics as the serial replay
