@@ -2,24 +2,24 @@
 """Fail CI when the newest trajectory record regresses vs its history.
 
 Reads bench/history/BENCH_trajectory.jsonl (written per run by
-scripts/bench_history.py), takes the NEWEST record, and compares each
-tracked metric against the rolling median of up to --window prior records.
-The median — not the immediately preceding run — is the baseline, so one
-noisy run can neither mask a real regression nor manufacture a fake one.
+scripts/bench_history.py), takes the NEWEST record, and compares each gated
+metric of scripts/bench_catalog.py against the rolling median of up to
+--window prior records with the same `quick` flag: full-size and quick runs
+appended to one history never share a baseline. The median — not the
+immediately preceding run — is the baseline, so one noisy run can neither
+mask a real regression nor manufacture a fake one.
 
 A metric regresses when it moves beyond --tolerance in its bad direction:
 
-  higher-is-better  (rps, containment_hit_rate, sample_quality_ratio,
-                     pruned_chunk_fraction):
-      value < median * (1 - tolerance)
-  lower-is-better   (stage latencies incl. sampled_select_p95_ms and
-                     pruned_scan_p95_ms, shed_rate, tracing_overhead):
-      value > median * (1 + tolerance) + slack
-      (slack absorbs ~0 baselines where any jitter is an infinite ratio)
+  higher is better:  value < median * (1 - tolerance)
+  lower is better:   value > median * (1 + tolerance) + slack
+                     (the catalog's absolute slack absorbs ~0 baselines
+                     where any jitter is an infinite ratio)
 
 Exit 1 on any regression, 0 otherwise. With --quick (the CI quick-bench
 path, where absolute numbers are noisy) regressions only WARN. Fewer than
-2 records is a pass — there is no history to regress against yet.
+2 records, or no prior record with the newest one's `quick` flag, is a
+pass — there is no history to regress against yet.
 
 Usage:
   scripts/check_bench_regression.py [--history PATH] [--window N]
@@ -29,90 +29,44 @@ Standard library only.
 """
 
 import argparse
-import json
 import statistics
 import sys
 
-HIGHER_IS_BETTER = ["rps", "containment_hit_rate", "sample_quality_ratio",
-                    "pruned_chunk_fraction",
-                    # Workload-forge sweep (bench_scale, its own history
-                    # file): best served throughput across the rate points.
-                    "scale_rps"]
-LOWER_IS_BETTER = [
-    "queue_scan_p95_ms",
-    "scan_p50_ms",
-    "scan_p95_ms",
-    "queue_select_p95_ms",
-    "select_p50_ms",
-    "select_p95_ms",
-    "shed_rate",
-    "tracing_overhead",
-    "sampled_select_p95_ms",
-    "pruned_scan_p95_ms",
-    # Workload-forge sweep: admitted p95 at the past-saturation rate
-    # (bounded-queue health) and per-row generation cost (O(rows) drift).
-    "scale_p95_ms",
-    "generator_ns_per_row",
-]
-# Below this absolute baseline a lower-is-better ratio is meaningless
-# (e.g. a 0.02ms queue p95 doubling to 0.04ms); the slack is added to the
-# allowed ceiling instead of failing on noise.
-ABSOLUTE_SLACK = {
-    "shed_rate": 0.05,
-    "tracing_overhead": 0.02,
-    # Bucketed percentiles at the knee move in ~2x histogram steps; absorb
-    # one bucket of jitter.
-    "scale_p95_ms": 100.0,
-    # ns/row on shared runners jitters with memory bandwidth.
-    "generator_ns_per_row": 100.0,
-}
-DEFAULT_SLACK_MS = 0.05
+import bench_catalog as catalog
 
 
-def load_history(path: str) -> list[dict]:
-    records = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as err:
-                    print(f"check_bench_regression: {path}:{line_no}: "
-                          f"bad JSON ({err})", file=sys.stderr)
-    except FileNotFoundError:
-        pass
-    return records
+def baseline_records(records: list[dict], window: int) -> list[dict]:
+    """Up to `window` records before the newest with its `quick` flag."""
+    quick = records[-1].get("quick", False)
+    return [r for r in records[:-1]
+            if r.get("quick", False) == quick][-window:]
 
 
 def check(records: list[dict], window: int, tolerance: float) -> list[str]:
     current = records[-1]
-    prior = records[:-1][-window:]
+    prior = baseline_records(records, window)
     failures = []
-    for metric in HIGHER_IS_BETTER + LOWER_IS_BETTER:
-        value = current.get(metric)
-        baseline = [r[metric] for r in prior
-                    if isinstance(r.get(metric), (int, float))]
-        if not isinstance(value, (int, float)) or not baseline:
+    for metric in catalog.gated():
+        value = current.get(metric.key)
+        baseline = [r[metric.key] for r in prior
+                    if catalog.is_number(r.get(metric.key))]
+        if not catalog.is_number(value) or not baseline:
             continue
         median = statistics.median(baseline)
-        if metric in HIGHER_IS_BETTER:
+        if metric.better == catalog.HIGHER:
             floor = median * (1.0 - tolerance)
             if value < floor:
                 failures.append(
-                    f"{metric}: {value:.6g} fell below {floor:.6g} "
+                    f"{metric.key}: {value:.6g} fell below {floor:.6g} "
                     f"(median of {len(baseline)} runs: {median:.6g}, "
                     f"tolerance {tolerance:.0%})")
         else:
-            slack = ABSOLUTE_SLACK.get(metric, DEFAULT_SLACK_MS)
-            ceiling = median * (1.0 + tolerance) + slack
+            ceiling = median * (1.0 + tolerance) + metric.slack
             if value > ceiling:
                 failures.append(
-                    f"{metric}: {value:.6g} rose above {ceiling:.6g} "
+                    f"{metric.key}: {value:.6g} rose above {ceiling:.6g} "
                     f"(median of {len(baseline)} runs: {median:.6g}, "
-                    f"tolerance {tolerance:.0%} + slack {slack:g})")
+                    f"tolerance {tolerance:.0%} + slack {metric.slack:g})")
     return failures
 
 
@@ -128,7 +82,14 @@ def main(argv: list[str]) -> int:
                         help="warn instead of failing (noisy quick benches)")
     args = parser.parse_args(argv[1:])
 
-    records = load_history(args.history)
+    try:
+        rows, errors = catalog.read_history(args.history)
+    except FileNotFoundError:
+        rows, errors = [], []
+    for error in errors:
+        print(f"check_bench_regression: {args.history}: {error}",
+              file=sys.stderr)
+    records = [record for _, record in rows]
     if len(records) < 2:
         print(f"check_bench_regression: OK — {len(records)} record(s) in "
               f"{args.history}, nothing to compare yet")
@@ -139,7 +100,8 @@ def main(argv: list[str]) -> int:
     label = f"{tail.get('sha', '?')} @ {tail.get('timestamp', '?')}"
     if not failures:
         print(f"check_bench_regression: OK — {label} within tolerance of "
-              f"the prior {min(len(records) - 1, args.window)}-run median")
+              f"the prior {len(baseline_records(records, args.window))}-run "
+              f"median (quick={tail.get('quick', False)})")
         return 0
     for failure in failures:
         print(f"check_bench_regression: {label}: {failure}", file=sys.stderr)

@@ -1,6 +1,12 @@
 #include "subtab/core/model_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -127,11 +133,11 @@ Status ValidateColumnBinning(const ColumnBinning& cb, uint8_t type,
   return Status::Ok();
 }
 
-}  // namespace
-
-Status SaveModel(const PreprocessedTable& pre, const Table& table,
-                 const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
+// Writes the artifact to `path` and closes it; the close flushes, so its
+// failure (e.g. ENOSPC on the last buffer) is reported, not swallowed.
+Status WriteArtifact(const PreprocessedTable& pre, const Table& table,
+                     const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::InvalidArgument("cannot open '" + path + "' for writing");
 
   out.write(kMagic, sizeof(kMagic));
@@ -165,8 +171,45 @@ Status SaveModel(const PreprocessedTable& pre, const Table& table,
               static_cast<std::streamsize>(v.size() * sizeof(float)));
   }
 
+  out.close();
   if (!out) return Status::Internal("write failed for '" + path + "'");
   return Status::Ok();
+}
+
+Status SyncFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) {
+    return Status::Internal("cannot reopen '" + path + "': " + std::strerror(errno));
+  }
+  const bool synced = ::fsync(fd) == 0;
+  const int sync_errno = errno;
+  if (::close(fd) != 0 || !synced) {
+    return Status::Internal("fsync failed for '" + path + "': " +
+                            std::strerror(synced ? errno : sync_errno));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status SaveModel(const PreprocessedTable& pre, const Table& table,
+                 const std::string& path) {
+  // Write a private temp file beside `path`, sync it, and rename it over
+  // the artifact: a reader, a concurrent saver or a crash sees the old
+  // artifact or the complete new one, never a torn file. pid + counter keep
+  // temp names unique across processes and threads sharing a directory.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp =
+      StrFormat("%s.tmp.%ld.%llu", path.c_str(), static_cast<long>(::getpid()),
+                static_cast<unsigned long long>(next_temp.fetch_add(1)));
+  Status status = WriteArtifact(pre, table, temp);
+  if (status.ok()) status = SyncFile(temp);
+  if (status.ok() && std::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::Internal("cannot rename '" + temp + "' to '" + path +
+                              "': " + std::strerror(errno));
+  }
+  if (!status.ok()) std::remove(temp.c_str());
+  return status;
 }
 
 Result<PreprocessedTable> LoadModel(const Table& table, const std::string& path) {

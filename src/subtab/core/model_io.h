@@ -20,7 +20,10 @@
 
 namespace subtab {
 
-/// Serializes the pre-processing artifact of `pre` to `path`.
+/// Serializes the pre-processing artifact of `pre` to `path`. The write is
+/// atomic: a temp file beside `path` is written, closed, fsynced and renamed
+/// over it, so readers never see a torn artifact; on failure the temp file
+/// is removed and any previous artifact at `path` is left as it was.
 /// `column_names` must be the source table's column names (stored for
 /// validation on load); typically `table.schema()` provides them.
 Status SaveModel(const PreprocessedTable& pre, const Table& table,

@@ -4,11 +4,11 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -149,21 +149,25 @@ void AdminServer::Serve() {
 }
 
 void AdminServer::HandleConnection(int client_fd) const {
-  // Bound the read: a stalled client may cost one timeout, never a hang.
-  timeval timeout;
-  timeout.tv_sec = static_cast<long>(options_.read_timeout_seconds);
-  timeout.tv_usec = static_cast<long>(
-      (options_.read_timeout_seconds - static_cast<double>(timeout.tv_sec)) *
-      1e6);
-  ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-
   // HTTP/1.0, GET only: the request is one line plus headers we ignore —
-  // read until the first CRLF (or 4 KiB, whichever comes first).
+  // read until the first CRLF (or 4 KiB, whichever comes first). The
+  // timeout bounds the whole read, not each recv, so a client trickling one
+  // byte at a time still costs at most one timeout of the serve thread.
+  const double deadline = NowSeconds() + options_.read_timeout_seconds;
   std::string request;
   char buf[1024];
   while (request.find("\r\n") == std::string::npos &&
          request.size() < 4096) {
-    const ssize_t n = ::recv(client_fd, buf, sizeof(buf), 0);
+    const double remaining = deadline - NowSeconds();
+    if (remaining <= 0.0) break;
+    pollfd pfd;
+    pfd.fd = client_fd;
+    pfd.events = POLLIN;
+    pfd.revents = 0;
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::ceil(remaining * 1e3)));
+    if (ready <= 0) break;
+    const ssize_t n = ::recv(client_fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
   }

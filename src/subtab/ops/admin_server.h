@@ -46,7 +46,7 @@ struct AdminServerOptions {
   uint16_t port = 0;
   /// Bind address. Loopback by default — the ops plane is not a public API.
   std::string bind_address = "127.0.0.1";
-  /// Per-connection request read timeout.
+  /// Bound on reading one request (the whole request line, not each recv).
   double read_timeout_seconds = 2.0;
   /// Default /traces count when no ?n= is given.
   size_t default_trace_count = 64;

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "subtab/core/model_io.h"
 #include "subtab/core/subtab.h"
@@ -149,6 +153,52 @@ TEST(ModelIoTest, FitCachedRoundTrip) {
   SubTabView b = second->Select(5, 5);
   EXPECT_EQ(a.row_ids, b.row_ids);
   EXPECT_EQ(a.col_ids, b.col_ids);
+}
+
+TEST(ModelIoTest, ConcurrentSavesNeverExposeATornArtifact) {
+  GeneratedDataset data = MakeSpotify(400, 68);
+  SubTabConfig other = FastConfig();
+  other.seed = 4;
+  const PreprocessedTable fits[2] = {Preprocess(data.table, FastConfig()),
+                                     Preprocess(data.table, other)};
+  const std::string path = TempPath("model_race.stab");
+  ASSERT_TRUE(SaveModel(fits[0], data.table, path).ok());
+
+  // Two savers overwrite one path with different fits while the main
+  // thread loads: every load sees one complete artifact or the other.
+  std::atomic<int> savers_running{2};
+  std::atomic<int> save_failures{0};
+  std::vector<std::thread> savers;
+  for (const PreprocessedTable& fit : fits) {
+    savers.emplace_back([&, fit_ptr = &fit] {
+      for (int i = 0; i < 25; ++i) {
+        if (!SaveModel(*fit_ptr, data.table, path).ok()) ++save_failures;
+      }
+      --savers_running;
+    });
+  }
+  int loads = 0;
+  std::string first_load_error;
+  while (savers_running.load() > 0 || loads == 0) {
+    Result<PreprocessedTable> loaded = LoadModel(data.table, path);
+    if (!loaded.ok() && first_load_error.empty()) {
+      first_load_error = loaded.status().ToString();
+    }
+    ++loads;
+  }
+  for (std::thread& saver : savers) saver.join();
+  EXPECT_EQ(save_failures.load(), 0);
+  EXPECT_EQ(first_load_error, "") << "a load saw a torn artifact";
+
+  // No temp file outlives a successful save.
+  const std::filesystem::path file(path);
+  for (const auto& entry :
+       std::filesystem::directory_iterator(file.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  file.filename().string() + ".tmp", 0),
+              0u)
+        << "leftover temp file " << entry.path();
+  }
 }
 
 // ---- Corrupt artifacts: every field LoadModel trusts to index or size

@@ -16,6 +16,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -24,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "subtab/ops/admin_server.h"
@@ -670,6 +673,46 @@ TEST(AdminServerTest, ServesAllEndpointsAndHealthzFlipsUnderShedding) {
   EXPECT_FALSE(server.running());
   // Stopped: connections are refused (empty response from our client).
   EXPECT_EQ(HttpGet(server.port(), "/healthz"), "");
+}
+
+TEST(AdminServerTest, TricklingClientCannotBlockHealthz) {
+  ServingEngine engine;
+  AdminServerOptions admin;
+  admin.read_timeout_seconds = 0.3;
+  AdminServer server(&engine, nullptr, admin);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A slowloris client: connected first, then one byte every 0.1 s — each
+  // recv sees data well inside the timeout, so only a bound on the whole
+  // read lets the serve thread move on.
+  const int slow = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(slow, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(slow, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    for (int i = 0; i < 40 && !done.load(); ++i) {
+      if (::send(slow, "G", 1, MSG_NOSIGNAL) != 1) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string healthz = HttpGet(server.port(), "/healthz");
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  done.store(true);
+  trickle.join();
+  ::close(slow);
+  EXPECT_EQ(StatusCodeOf(healthz), 200);
+  EXPECT_LT(elapsed, 1.0) << "/healthz waited behind a trickling client";
 }
 
 TEST(AdminServerTest, RoutingWithoutSockets) {
